@@ -359,12 +359,10 @@ def _bench_command(arguments: list[str]) -> int:
             COMMITTED_BASELINE,
             check_baseline,
             check_cluster_floors,
-            check_lockstep_floor,
         )
 
         warnings: list[str] = []
         failures = check_baseline(report, warnings=warnings)
-        failures += check_lockstep_floor(report)
         failures += check_cluster_floors(report)
         for warning in warnings:
             print(f"WARNING {warning}", file=sys.stderr)
@@ -372,8 +370,7 @@ def _bench_command(arguments: list[str]) -> int:
             print(f"REGRESSION {failure}", file=sys.stderr)
         if failures:
             return 1
-        print(f"no regression beyond 25% vs {COMMITTED_BASELINE}; "
-              "lockstep speedup floor holds")
+        print(f"no regression beyond 25% vs {COMMITTED_BASELINE}")
     if options.baseline:
         with open(options.baseline, encoding="utf-8") as stream:
             baseline = json.load(stream)
@@ -740,12 +737,6 @@ def _sweep_command(arguments: list[str]) -> int:
         "resume exactly where they stopped)",
     )
     parser.add_argument(
-        "--lockstep", action=argparse.BooleanOptionalAction, default=True,
-        help="execute points sharing a trace as lockstep multi-config "
-        "batches (default on; results are byte-identical either way, "
-        "and runs may freely mix engines across interrupt/resume)",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json", "html"), default="text",
         help="report format (report action; default text)",
     )
@@ -806,7 +797,6 @@ def _sweep_command(arguments: list[str]) -> int:
             spec, runtime,
             state_dir=state_dir,
             max_points=options.max_points,
-            lockstep=options.lockstep,
         )
     finally:
         runtime.close()

@@ -114,33 +114,8 @@ class ExperimentContext:
                 ):
                     self._results[key] = result
         else:
-            # Serial path: group memo misses by trace so figure-driver
-            # loops (one trace under many configurations) execute as
-            # lockstep batches; occupancy requests stay scalar.
-            from repro.uarch.simulator import simulate_batch
-
-            pending: dict[int, tuple] = {}
-            ordered: list[tuple] = []
-            seen: set[tuple] = set()
-            for key, (trace, config, occupancy) in zip(keys, normalized):
-                if key in self._results or key in seen:
-                    continue
-                seen.add(key)
-                if occupancy:
-                    self.simulate_trace(trace, config, occupancy)
-                    continue
-                group = pending.get(id(trace))
-                if group is None:
-                    group = (trace, [], [])
-                    pending[id(trace)] = group
-                    ordered.append(group)
-                group[1].append(key)
-                group[2].append(config)
-            for trace, group_keys, configs in ordered:
-                for key, result in zip(
-                    group_keys, simulate_batch(trace, configs)
-                ):
-                    self._results[key] = result
+            for request in normalized:
+                self.simulate_trace(*request)
         return [self._results[key] for key in keys]
 
     def prefetch_workloads(

@@ -35,14 +35,12 @@ from repro.isa.trace import Trace
 from repro.uarch.config import (
     BP_PERFECT,
     ME1,
-    ME2,
     MEINF,
     PROC_4WAY,
     PROC_8WAY,
-    PROC_12WAY,
     PROC_16WAY,
 )
-from repro.uarch.simulator import simulate, simulate_batch
+from repro.uarch.simulator import simulate
 from repro.workloads.suite import WorkloadSuite
 
 #: Throughput of each stage measured at the commit preceding the
@@ -188,76 +186,6 @@ def bench_simulate(trace: Trace, repeats: int) -> dict[str, Any]:
     }
 
 
-#: Lockstep batch benchmark shape: Table IV's width sweep under the two
-#: realistic memory configurations — eight configurations over one
-#: trace, exactly what ``repro.sweep`` hands the lockstep engine.
-BENCH_LOCKSTEP_CONFIGS = tuple(
-    (f"{width.name}/{memory.name}", width.with_memory(memory))
-    for width in (PROC_4WAY, PROC_8WAY, PROC_12WAY, PROC_16WAY)
-    for memory in (ME1, ME2)
-)
-
-#: Floor on the lockstep batch's aggregate throughput versus running
-#: the same configurations back-to-back through the scalar core.  With
-#: worker processes (``jobs > 1``) the fork fan-out compounds with the
-#: shared-plane engine and the batch must clear 2.5x; single-CPU
-#: machines fall back to the in-process engine, where the floor only
-#: guards against lockstep regressing to slower-than-scalar (0.9
-#: rather than 1.0 to tolerate scheduler noise on loaded boxes).
-LOCKSTEP_FLOOR_PARALLEL = 2.5
-LOCKSTEP_FLOOR_SERIAL = 0.9
-
-
-def bench_simulate_lockstep(
-    trace: Trace, repeats: int, jobs: int | None = None
-) -> dict[str, Any]:
-    """Lockstep batch throughput versus back-to-back scalar runs.
-
-    Simulates the :data:`BENCH_LOCKSTEP_CONFIGS` batch through
-    :func:`~repro.uarch.simulator.simulate_batch` and reports the
-    *aggregate* simulated instructions/second — total instructions
-    retired across all configurations over the batch wall time — next
-    to the same aggregate for the equivalent sequence of scalar
-    :func:`~repro.uarch.simulator.simulate` calls.  ``jobs`` defaults
-    to ``min(len(configs), cpu_count)``, mirroring what the batch API
-    does on the runtime pool; the value actually used is recorded so
-    gates can distinguish the fork-parallel regime from the in-process
-    one.
-    """
-    configs = [config for _, config in BENCH_LOCKSTEP_CONFIGS]
-    if jobs is None:
-        jobs = max(1, min(len(configs), os.cpu_count() or 1))
-
-    # Warm the decode plane, shared planes, and code paths for both
-    # engines so neither side pays first-run costs inside the timing.
-    simulate_batch(trace, configs, jobs=jobs)
-    simulate(trace, configs[0])
-
-    def batch_task() -> int:
-        results = simulate_batch(trace, configs, jobs=jobs)
-        return sum(result.instructions for result in results)
-
-    batch_ips, instructions = _best_rate(batch_task, repeats)
-
-    def scalar_task() -> int:
-        return sum(
-            simulate(trace, config).instructions for config in configs
-        )
-
-    scalar_ips, _ = _best_rate(scalar_task, repeats)
-    return {
-        "instructions": instructions,
-        "configs": len(configs),
-        "jobs": jobs,
-        "ips": round(batch_ips),
-        "scalar_ips": round(scalar_ips),
-        "speedup_vs_scalar": (
-            round(batch_ips / scalar_ips, 2) if scalar_ips else 0.0
-        ),
-        "repeats": repeats,
-    }
-
-
 def run_bench(quick: bool = False) -> dict[str, Any]:
     """Run all three benchmarks; returns the report dictionary."""
     repeats = 2 if quick else 5
@@ -268,12 +196,6 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
         "trace_generation": bench_trace_generation(1 if quick else 3),
         "load_trace": bench_load_trace(trace, repeats),
         "simulate": bench_simulate(sim_slice, repeats),
-        # The full trace even in quick mode: the batch must be large
-        # enough to amortize fork start-up, or the smoke gate would
-        # measure process management instead of the engine.
-        "simulate_lockstep": bench_simulate_lockstep(
-            trace, 2 if quick else 3
-        ),
     }
     # Metrics and REFERENCE_IPS may drift apart (a metric added after
     # the reference was pinned, or vice versa): report speedups only for
@@ -367,32 +289,6 @@ def check_baseline(
                 f"than {allowed_drop:.0%} below {path.name}"
             )
     return failures
-
-
-def check_lockstep_floor(report: dict[str, Any]) -> list[str]:
-    """Absolute floor on the lockstep batch's speedup over scalar runs.
-
-    Unlike :func:`check_baseline` this does not compare machines: the
-    batch and the scalar reference ran back-to-back on the same box, so
-    their ratio is machine-independent.  The floor depends on the
-    regime the report recorded — :data:`LOCKSTEP_FLOOR_PARALLEL` when
-    fork workers were in play (``jobs > 1``), else
-    :data:`LOCKSTEP_FLOOR_SERIAL`.  Reports without the metric (older
-    baselines) pass vacuously.
-    """
-    metric = report.get("metrics", {}).get("simulate_lockstep")
-    if not isinstance(metric, dict):
-        return []
-    jobs = int(metric.get("jobs", 1) or 1)
-    floor = LOCKSTEP_FLOOR_PARALLEL if jobs > 1 else LOCKSTEP_FLOOR_SERIAL
-    speedup = float(metric.get("speedup_vs_scalar", 0.0) or 0.0)
-    if speedup < floor:
-        return [
-            f"simulate_lockstep: {speedup:.2f}x aggregate vs "
-            f"{metric.get('configs')} scalar runs is below the "
-            f"{floor:.2f}x floor (jobs={jobs})"
-        ]
-    return []
 
 
 # -- cluster: packed-database replica fleet ---------------------------------
@@ -585,9 +481,9 @@ def check_cluster_floors(report: dict[str, Any]) -> list[str]:
 
     Reads the report's top-level ``cluster`` section (written by
     ``repro bench --cluster``); reports without one pass vacuously, as
-    does the RSS gate on platforms where RSS could not be read.  Like
-    :func:`check_lockstep_floor` the comparison is same-machine
-    back-to-back, so no speed normalization applies.
+    does the RSS gate on platforms where RSS could not be read.  The
+    comparison is same-machine back-to-back, so no speed normalization
+    applies.
     """
     cluster = report.get("cluster")
     if not isinstance(cluster, dict):
@@ -668,13 +564,6 @@ def format_report(report: dict[str, Any]) -> str:
                 lines.append(
                     f"    {label:16s} {sub['ips']:>10,} instr/s"
                 )
-        if "speedup_vs_scalar" in metrics:
-            lines.append(
-                f"    {metrics['configs']} configs, jobs={metrics['jobs']}: "
-                f"{metrics['speedup_vs_scalar']:.2f}x vs "
-                f"{metrics['configs']} scalar runs "
-                f"({metrics['scalar_ips']:,} instr/s aggregate)"
-            )
     if isinstance(report.get("cluster"), dict):
         lines.append(format_cluster(report["cluster"]))
     return "\n".join(lines)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.cluster.router import RouterConfig
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import add_serve_arguments, serve_tcp
 
 #: Where ``up`` records the router address for the other subcommands.
@@ -94,7 +95,9 @@ async def admin_request(
     host: str, port: int, payload: dict, timeout: float = 600.0
 ) -> dict:
     """One admin round-trip against the router."""
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=MAX_LINE_BYTES
+    )
     try:
         writer.write((json.dumps(payload) + "\n").encode())
         await writer.drain()
@@ -144,6 +147,17 @@ async def run_up(args: argparse.Namespace) -> int:
         drain_grace=args.drain_grace,
     )
     supervisor = ClusterSupervisor(config)
+    # Handlers go in before any replica spawns: a SIGTERM/SIGINT during
+    # start-up or right after the ready line drains the cluster instead
+    # of killing this process and orphaning its replicas.  (Replicas
+    # are spawned, not forked, so they do not inherit the handlers.)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    registered: list[signal.Signals] = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(NotImplementedError, ValueError):
+            loop.add_signal_handler(signum, stop.set)
+            registered.append(signum)
     await supervisor.start()
     try:
         server = await serve_tcp(
@@ -166,14 +180,6 @@ async def run_up(args: argparse.Namespace) -> int:
         f"queue={args.queue_capacity}); state in {state_path}",
         flush=True,
     )
-
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    registered: list[signal.Signals] = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, ValueError):
-            loop.add_signal_handler(signum, stop.set)
-            registered.append(signum)
     try:
         stop_wait = loop.create_task(stop.wait())
         shutdown_wait = loop.create_task(supervisor.shutdown.wait())

@@ -21,7 +21,7 @@ import asyncio
 import contextlib
 import json
 
-from repro.serve.protocol import encode_response
+from repro.serve.protocol import MAX_LINE_BYTES, encode_response
 
 #: Lifecycle states a handle moves through.
 STATE_CONNECTING = "connecting"
@@ -70,7 +70,7 @@ class ReplicaHandle:
     async def connect(self) -> None:
         """Open the connection and learn the replica's capacity."""
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_LINE_BYTES
         )
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_responses()

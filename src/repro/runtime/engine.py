@@ -36,12 +36,17 @@ from repro.runtime.keys import (
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.tasks import Task
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.pipeline.lockstep import LOCKSTEP_WIDTH
 from repro.uarch.results import SimulationResult
 from repro.workloads.suite import WorkloadSuite
 
 #: A simulate request: (trace, config, track_occupancy).
 SimRequest = tuple[Trace, ProcessorConfig, bool]
+
+#: Most configurations one ``simulate_batch``/``sweep_batch`` task runs
+#: over its trace.  Grouping pays because the worker loads and decodes
+#: the trace once per task; the cap keeps enough tasks in flight to
+#: fill the pool.
+BATCH_WIDTH = 8
 
 #: A search-shard request:
 #: (params, query, database_config, shard_index, shard_count).
@@ -138,158 +143,50 @@ class ExperimentRuntime:
         """One cached/executed simulation."""
         return self.simulate_many([(trace, config, track_occupancy)])[0]
 
-    def _lockstep_groups(
-        self,
-        requests: list[SimRequest],
-        miss_order: list[str],
-        miss_indices: dict[str, list[int]],
-    ) -> list[tuple[list[str], Trace, list[ProcessorConfig]]]:
-        """Group pending misses into lockstep batches.
-
-        Misses over the same trace object (the sweep and figure-driver
-        shape: one trace under many configurations) group into batches
-        of up to :data:`~repro.uarch.pipeline.lockstep.LOCKSTEP_WIDTH`
-        configs; occupancy-tracking requests and leftovers stay
-        singleton groups, which execute as plain scalar tasks.
-        """
-        groups: list[tuple[list[str], Trace, list[ProcessorConfig]]] = []
-        open_group: dict[int, tuple] = {}
-        for digest in miss_order:
-            trace, config, occupancy = requests[miss_indices[digest][0]]
-            if occupancy:
-                groups.append(([digest], trace, [config]))
-                continue
-            group = open_group.get(id(trace))
-            if group is None or len(group[0]) >= LOCKSTEP_WIDTH:
-                group = ([digest], trace, [config])
-                open_group[id(trace)] = group
-                groups.append(group)
-            else:
-                group[0].append(digest)
-                group[2].append(config)
-        return groups
-
     def simulate_many(
-        self, requests: list[SimRequest], *, lockstep: bool = True
+        self, requests: list[SimRequest]
     ) -> list[SimulationResult]:
         """Resolve a batch of simulations, fanning misses out in parallel.
 
         Duplicate requests (same trace content, config, and occupancy
-        flag) execute once; results come back in request order.  With
-        ``lockstep`` (the default), misses sharing a trace execute as
-        lockstep multi-config batches; results are byte-identical
-        either way.
+        flag) execute once; results come back in request order.  Misses
+        sharing a trace execute as ``simulate_batch`` tasks of up to
+        :data:`BATCH_WIDTH` configurations, so a worker loads and
+        decodes the trace once per task rather than once per config.
         """
-        requests = [
-            (trace, config, bool(occupancy))
-            for trace, config, occupancy in requests
-        ]
-        results: list[SimulationResult | None] = [None] * len(requests)
-        miss_indices: dict[str, list[int]] = {}
-        miss_order: list[str] = []
-        for index, (trace, config, occupancy) in enumerate(requests):
-            digest = simulate_key(trace, config, occupancy)
-            if digest in miss_indices:
-                miss_indices[digest].append(index)
-                continue
-            start = time.perf_counter()
-            cached = self.cache.load_result(digest)
-            if cached is not None:
-                results[index] = cached
-                self.metrics.record_hit(
-                    "simulate",
-                    _simulate_label(trace, config, occupancy),
-                    time.perf_counter() - start,
-                )
-            else:
-                miss_indices[digest] = [index]
-                miss_order.append(digest)
-
-        if lockstep:
-            groups = self._lockstep_groups(requests, miss_order, miss_indices)
-        else:
-            groups = [
-                ([digest],
-                 requests[miss_indices[digest][0]][0],
-                 [requests[miss_indices[digest][0]][1]])
-                for digest in miss_order
-            ]
-        tasks = []
-        for digests, trace, configs in groups:
-            if self.executor.inline:
-                if self.strict:
-                    from repro.verify import check_trace
-
-                    check_trace(trace)
-                trace_ref: object = trace
-            else:
-                trace_ref = str(self.cache.store_trace(
-                    trace_digest(trace), trace, strict=self.strict
-                ))
-            if len(digests) == 1:
-                occupancy = requests[miss_indices[digests[0]][0]][2]
-                tasks.append(Task(
-                    kind="simulate",
-                    payload=(trace_ref, configs[0], occupancy),
-                    label=_simulate_label(trace, configs[0], occupancy),
-                ))
-            else:
-                tasks.append(Task(
-                    kind="simulate_batch",
-                    payload=(trace_ref, tuple(configs)),
-                    label=_batch_label(trace, configs),
-                ))
-        outcomes = self.executor.run_many(tasks)
-        for (digests, trace, configs), outcome in zip(groups, outcomes):
-            values = (
-                outcome.value if len(digests) > 1 else [outcome.value]
-            )
-            # One metrics record per point: a lockstep batch counts
-            # exactly like the scalar runs it replaces (same labels,
-            # wall time split across the batch, retries charged once).
-            share = outcome.wall_time / len(digests)
-            for position, (digest, config, result) in enumerate(
-                zip(digests, configs, values)
-            ):
-                occupancy = requests[miss_indices[digest][0]][2]
-                self.metrics.record_executed(
-                    "simulate",
-                    _simulate_label(trace, config, occupancy),
-                    share,
-                    outcome.retries if position == 0 else 0,
-                    outcome.where,
-                )
-                self.cache.store_result(digest, result)
-                for index in miss_indices[digest]:
-                    results[index] = result
-        return results  # type: ignore[return-value]
+        return self._resolve(requests, sweep=False)
 
     # -- sweep point tasks --------------------------------------------------
 
     def sweep_points(
-        self, requests: list[SimRequest], *, lockstep: bool = True
+        self, requests: list[SimRequest]
     ) -> list[SimulationResult]:
         """Resolve a batch of sweep grid points (cache-first, parallel).
 
         Identical in contract to :meth:`simulate_many` — duplicates
-        collapse, results come back in request order, and the cache
-        addresses are the same :func:`~repro.runtime.keys.simulate_key`
-        digests, so sweep points and ad-hoc figure runs share entries
-        byte-for-byte.  The difference is durability: ``sweep_point`` /
-        ``sweep_batch`` workers store their results into the persistent
-        cache *themselves*, so a point survives even if this
-        orchestrating process dies before the batch returns.  With
-        ``lockstep`` (the default), points sharing a trace execute as
-        lockstep multi-config batches; the per-point cache entries stay
-        byte-for-byte identical either way.
+        collapse, results come back in request order, misses sharing a
+        trace group into batch tasks, and the cache addresses are the
+        same :func:`~repro.runtime.keys.simulate_key` digests, so sweep
+        points and ad-hoc figure runs share entries byte-for-byte.  The
+        difference is durability: ``sweep_point`` / ``sweep_batch``
+        workers store their results into the persistent cache
+        *themselves*, so a point survives even if this orchestrating
+        process dies before the batch returns.
         """
+        return self._resolve(requests, sweep=True)
+
+    def _resolve(
+        self, requests: list[SimRequest], *, sweep: bool
+    ) -> list[SimulationResult]:
+        metric_kind = "sweep" if sweep else "simulate"
         requests = [
             (trace, config, bool(occupancy))
             for trace, config, occupancy in requests
         ]
         results: list[SimulationResult | None] = [None] * len(requests)
+        # Cache misses in first-seen order, each with every request
+        # index it answers.
         miss_indices: dict[str, list[int]] = {}
-        miss_order: list[str] = []
         for index, (trace, config, occupancy) in enumerate(requests):
             digest = simulate_key(trace, config, occupancy)
             if digest in miss_indices:
@@ -300,80 +197,74 @@ class ExperimentRuntime:
             if cached is not None:
                 results[index] = cached
                 self.metrics.record_hit(
-                    "sweep",
+                    metric_kind,
                     _simulate_label(trace, config, occupancy),
                     time.perf_counter() - start,
                 )
             else:
                 miss_indices[digest] = [index]
-                miss_order.append(digest)
 
-        if lockstep:
-            groups = self._lockstep_groups(requests, miss_order, miss_indices)
-        else:
-            groups = [
-                ([digest],
-                 requests[miss_indices[digest][0]][0],
-                 [requests[miss_indices[digest][0]][1]])
-                for digest in miss_order
-            ]
-        tasks = []
-        for digests, trace, configs in groups:
-            if self.executor.inline:
-                if self.strict:
-                    from repro.verify import check_trace
-
-                    check_trace(trace)
-                trace_ref: object = trace
-            else:
-                trace_ref = str(self.cache.store_trace(
-                    trace_digest(trace), trace, strict=self.strict
-                ))
-            if len(digests) == 1:
-                occupancy = requests[miss_indices[digests[0]][0]][2]
-                tasks.append(Task(
-                    kind="sweep_point",
-                    payload=(
-                        trace_ref, configs[0], occupancy,
-                        str(self.cache.root), digests[0],
-                    ),
-                    label=_simulate_label(trace, configs[0], occupancy),
-                ))
-            else:
-                tasks.append(Task(
-                    kind="sweep_batch",
-                    payload=(
-                        trace_ref, tuple(configs),
-                        str(self.cache.root), tuple(digests),
-                    ),
-                    label=_batch_label(trace, configs),
-                ))
+        groups = _batch_groups(requests, miss_indices)
+        tasks = [self._simulate_task(group, sweep) for group in groups]
         outcomes = self.executor.run_many(tasks)
         from repro.runtime.cache import result_from_dict
 
-        for (digests, trace, configs), outcome in zip(groups, outcomes):
+        for (digests, trace, configs, occupancy), outcome in zip(
+            groups, outcomes
+        ):
             values = (
                 outcome.value if len(digests) > 1 else [outcome.value]
             )
-            # Per-point metrics, exactly as on the scalar path (see
-            # simulate_many): counters diffed around a sweep keep
-            # meaning "grid points executed" under either engine.
+            # One metrics record per point: a batch task counts exactly
+            # like the single-config tasks it replaces (same labels,
+            # wall time split across the batch, retries charged once).
             share = outcome.wall_time / len(digests)
             for position, (digest, config, value) in enumerate(
                 zip(digests, configs, values)
             ):
-                occupancy = requests[miss_indices[digest][0]][2]
                 self.metrics.record_executed(
-                    "sweep",
+                    metric_kind,
                     _simulate_label(trace, config, occupancy),
                     share,
                     outcome.retries if position == 0 else 0,
                     outcome.where,
                 )
-                result = result_from_dict(value)
+                if sweep:
+                    result = result_from_dict(value)
+                else:
+                    result = value
+                    self.cache.store_result(digest, result)
                 for index in miss_indices[digest]:
                     results[index] = result
         return results  # type: ignore[return-value]
+
+    def _simulate_task(self, group: _Group, sweep: bool) -> Task:
+        digests, trace, configs, occupancy = group
+        if self.executor.inline:
+            if self.strict:
+                from repro.verify import check_trace
+
+                check_trace(trace)
+            trace_ref: object = trace
+        else:
+            trace_ref = str(self.cache.store_trace(
+                trace_digest(trace), trace, strict=self.strict
+            ))
+        # A sweep task is its simulate task plus where the worker
+        # stores the result(s) itself.
+        if len(digests) == 1:
+            kind = "sweep_point" if sweep else "simulate"
+            payload: tuple = (trace_ref, configs[0], occupancy)
+            stored = digests[0]
+            label = _simulate_label(trace, configs[0], occupancy)
+        else:
+            kind = "sweep_batch" if sweep else "simulate_batch"
+            payload = (trace_ref, tuple(configs))
+            stored = tuple(digests)
+            label = f"batch:{trace.name}@{len(configs)} configs"
+        if sweep:
+            payload += (str(self.cache.root), stored)
+        return Task(kind=kind, payload=payload, label=label)
 
     # -- search shard tasks -------------------------------------------------
 
@@ -614,5 +505,34 @@ def _simulate_label(
     return f"simulate:{trace.name}@{config.name}/{config.memory.name}{suffix}"
 
 
-def _batch_label(trace: Trace, configs: list[ProcessorConfig]) -> str:
-    return f"lockstep:{trace.name}@{len(configs)} configs"
+#: A group of cache misses executed as one task:
+#: (digests, trace, configs, track_occupancy).
+_Group = tuple[list[str], Trace, list[ProcessorConfig], bool]
+
+
+def _batch_groups(
+    requests: list[SimRequest], miss_indices: dict[str, list[int]]
+) -> list[_Group]:
+    """Group cache misses by trace into tasks of ≤ BATCH_WIDTH configs.
+
+    Misses over the same trace object (the sweep and figure-driver
+    shape: one trace under many configurations) share a task, so the
+    worker loads and decodes the trace once per task.  Occupancy
+    requests stay singleton groups.
+    """
+    groups: list[_Group] = []
+    open_group: dict[int, _Group] = {}
+    for digest, indices in miss_indices.items():
+        trace, config, occupancy = requests[indices[0]]
+        if occupancy:
+            groups.append(([digest], trace, [config], True))
+            continue
+        group = open_group.get(id(trace))
+        if group is None or len(group[0]) >= BATCH_WIDTH:
+            group = ([digest], trace, [config], False)
+            open_group[id(trace)] = group
+            groups.append(group)
+        else:
+            group[0].append(digest)
+            group[2].append(config)
+    return groups

@@ -14,11 +14,11 @@ Kinds
     of a spilled ``.trace.npz`` (pool workers).  Returns the
     :class:`~repro.uarch.results.SimulationResult`.
 ``simulate_batch``
-    ``(trace_ref, configs)`` — one trace under many configurations
-    through the lockstep engine
-    (:func:`repro.uarch.simulator.simulate_batch`); returns the list of
-    results in config order, each byte-identical to the corresponding
-    ``simulate`` task's.
+    ``(trace_ref, configs)`` — one trace under many configurations:
+    the trace is loaded and decoded once, then each configuration runs
+    through :func:`repro.uarch.simulator.simulate`.  Returns the list
+    of results in config order, each byte-identical to the
+    corresponding ``simulate`` task's.
 ``trace``
     ``(name, budget, database_config, query, cache_root)`` — runs the
     instrumented kernel, stores the trace into the content-addressed
@@ -43,11 +43,11 @@ Kinds
     a cache hit.
 ``sweep_batch``
     ``(trace_ref, configs, cache_root, digests)`` — several sweep grid
-    points over one trace, simulated as a lockstep batch.  Each point's
-    result is stored under its own digest from the worker the moment
-    the batch finishes (same per-point cache entries, byte-for-byte, as
-    ``sweep_point`` would produce), and the return value is the list of
-    result dicts in config order.
+    points over one trace, simulated like ``simulate_batch``.  Each
+    point's result is stored under its own digest from the worker the
+    moment the batch finishes (same per-point cache entries,
+    byte-for-byte, as ``sweep_point`` would produce), and the return
+    value is the list of result dicts in config order.
 ``search_shard``
     ``(params_key, queries, database_config, shard_index, shard_count
     [, store_root])`` — scans one deterministic shard of the database
@@ -87,7 +87,7 @@ from pathlib import Path
 
 from repro.isa.serialize import load_trace
 from repro.isa.trace import Trace
-from repro.uarch.simulator import simulate, simulate_batch
+from repro.uarch.simulator import simulate
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def execute_simulate(payload: tuple):
 def execute_simulate_batch(payload: tuple) -> list:
     trace_ref, configs = payload
     trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    return simulate_batch(trace, list(configs))
+    return [simulate(trace, config) for config in configs]
 
 
 def execute_trace(payload: tuple) -> dict:
@@ -149,7 +149,7 @@ def execute_sweep_batch(payload: tuple) -> list:
 
     trace_ref, configs, cache_root, digests = payload
     trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    results = simulate_batch(trace, list(configs))
+    results = [simulate(trace, config) for config in configs]
     cache = ResultCache(cache_root)
     for digest, result in zip(digests, results):
         cache.store_result(digest, result)

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.bio.synthetic import SyntheticDatabaseConfig, generate_database
 from repro.runtime.metrics import percentiles
-from repro.serve.protocol import encode_response
+from repro.serve.protocol import MAX_LINE_BYTES, encode_response
 from repro.serve.scheduler import BatchPolicy
 from repro.serve.server import (
     AlignmentService,
@@ -155,7 +155,9 @@ class TcpClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "TcpClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
         return cls(reader, writer)
 
     async def _read_responses(self) -> None:

@@ -48,6 +48,11 @@ STATUS_ERROR = "error"
 #: Request operations.
 OPS = ("search", "telemetry", "ping", "status", "admin")
 
+#: Line limit for stream readers that receive responses.  asyncio's
+#: default of 64 KiB is smaller than a default ``best_count`` BLAST
+#: response over a few thousand database sequences.
+MAX_LINE_BYTES = 64 * 1024 * 1024
+
 
 class ProtocolError(ValueError):
     """A request line the server cannot interpret."""

@@ -476,6 +476,19 @@ def main_serve(argv: list[str] | None = None) -> int:
             if args.port is None:
                 await serve_stdio(service)
                 return 0
+            # SIGTERM/SIGINT trigger a graceful drain, not loop
+            # teardown: stop accepting, shed new submissions with a
+            # retryable signal, flush in-flight batches, then exit.
+            # The cluster's rolling restart and `repro cluster drain`
+            # both depend on this path answering every admitted
+            # request before the process dies.  The handlers go in
+            # before the ready line, so a signal sent the moment it
+            # appears still drains and shuts the worker pool down.
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                with contextlib.suppress(NotImplementedError):
+                    loop.add_signal_handler(signum, stop.set)
             server = await serve_tcp(service, args.host, args.port)
             address = server.sockets[0].getsockname()
             print(
@@ -484,17 +497,6 @@ def main_serve(argv: list[str] | None = None) -> int:
                 f"batch={args.batch_size})",
                 flush=True,
             )
-            # SIGTERM/SIGINT trigger a graceful drain, not loop
-            # teardown: stop accepting, shed new submissions with a
-            # retryable signal, flush in-flight batches, then exit.
-            # The cluster's rolling restart and `repro cluster drain`
-            # both depend on this path answering every admitted
-            # request before the process dies.
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError):
-                    loop.add_signal_handler(signum, stop.set)
             try:
                 await stop.wait()
             finally:

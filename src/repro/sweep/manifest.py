@@ -50,12 +50,6 @@ class SweepManifest:
     spec_digest: str
     #: point_id -> {"digest", "workload", "coords", "metrics"}.
     points: dict[str, dict] = field(default_factory=dict)
-    #: Execution engine of the most recent run that executed points
-    #: ("lockstep" or "scalar"; "" before anything ran).  Informational:
-    #: results are byte-identical across engines, so resume never keys
-    #: on it — which is also what keeps a manifest reached through an
-    #: engine switch byte-identical to a single-engine run's.
-    engine: str = ""
 
     @classmethod
     def open(cls, state_dir: str | Path, spec: SweepSpec) -> "SweepManifest":
@@ -74,9 +68,6 @@ class SweepManifest:
         points = data.get("points")
         if isinstance(points, dict):
             manifest.points = points
-        engine = data.get("engine")
-        if isinstance(engine, str):
-            manifest.engine = engine
         return manifest
 
     def record(
@@ -111,7 +102,6 @@ class SweepManifest:
             "version": MANIFEST_VERSION,
             "sweep": self.sweep,
             "spec_digest": self.spec_digest,
-            "engine": self.engine,
             "points": {
                 point_id: self.points[point_id]
                 for point_id in sorted(self.points)

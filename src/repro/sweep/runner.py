@@ -86,7 +86,6 @@ def run_sweep(
     suite: WorkloadSuite | None = None,
     max_points: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    lockstep: bool = True,
 ) -> SweepRun:
     """Execute (or resume) one sweep campaign.
 
@@ -96,10 +95,7 @@ def run_sweep(
     bounds how many *pending* points this invocation executes — the
     partial-run / interruption hook used by tests, CI, and budgeted
     overnight campaigns; the returned :class:`SweepRun` reports what
-    remains.  ``lockstep`` (default on) executes points sharing a trace
-    as lockstep multi-config batches; results, cache entries, and
-    recorded metrics are byte-identical either way, so interrupting
-    under one engine and resuming under the other is safe.
+    remains.
     """
     if state_dir is None:
         state_dir = Path(runtime.cache.root) / "sweeps"
@@ -133,8 +129,7 @@ def run_sweep(
             [
                 (suite.trace(point.workload), point.config, False)
                 for point in batch
-            ],
-            lockstep=lockstep,
+            ]
         )
         for point, result in zip(batch, results):
             manifest.record(
@@ -145,7 +140,6 @@ def run_sweep(
                 point_metrics(result),
             )
             run.executed.append(point.point_id)
-        manifest.engine = "lockstep" if lockstep else "scalar"
         manifest.save()
 
     run.remaining = [

@@ -1,6 +1,5 @@
 """Out-of-order pipeline model."""
 
 from repro.uarch.pipeline.core import OutOfOrderCore
-from repro.uarch.pipeline.lockstep import LOCKSTEP_WIDTH, LockstepCore
 
-__all__ = ["OutOfOrderCore", "LockstepCore", "LOCKSTEP_WIDTH"]
+__all__ = ["OutOfOrderCore"]

@@ -78,7 +78,6 @@ class DecodedTrace:
         "n", "op", "fu", "latency", "regfile", "is_load", "is_store",
         "is_branch", "is_memory", "is_vload", "has_dest", "line", "pc",
         "address", "size", "taken", "target", "words", "sources",
-        "batch",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -130,11 +129,6 @@ class DecodedTrace:
             tuple(source for source in row if source >= 0)
             for row in source_rows
         ]
-
-        #: Lazily-built batch planes for lockstep multi-config simulation
-        #: (:mod:`repro.uarch.pipeline.lockstep`); config-independent, so
-        #: they share the decode plane's lifetime and caching.
-        self.batch = None
 
 
 def decode_trace(trace: Trace) -> DecodedTrace:

@@ -1,18 +1,10 @@
-"""Top-level simulation entry points.
+"""Top-level simulation entry point.
 
-:func:`simulate` runs one (trace, config) pair through the scalar
-out-of-order core.  :func:`simulate_batch` runs one trace under *many*
-configurations — the shape of the paper's Tables IV-VI and Figures 5/9
-— through the lockstep engine
-(:class:`~repro.uarch.pipeline.lockstep.LockstepCore`), which shares
-the config-independent decode, branch-predictor, and frontend planes
-across the batch.  Results are byte-identical either way; the batch
-path is just faster per configuration.
+:func:`simulate` runs one (trace, config) pair through the
+out-of-order core.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.isa.trace import Trace
 from repro.uarch.config import ProcessorConfig
@@ -41,45 +33,3 @@ def simulate(
     )
     return core.run(max_cycles=max_cycles)
 
-
-def simulate_batch(
-    trace: Trace,
-    configs: Sequence[ProcessorConfig],
-    *,
-    track_occupancy: bool = False,
-    max_cycles: int | None = None,
-    warmup: Trace | None = None,
-    jobs: int | None = None,
-) -> list[SimulationResult]:
-    """Run one trace under many configurations; results in input order.
-
-    Batches of two or more plain simulations (no occupancy tracking, no
-    functional warmup) go through the lockstep engine, which shares the
-    config-independent planes across the batch; each returned
-    :class:`~repro.uarch.results.SimulationResult` is byte-identical to
-    the corresponding :func:`simulate` call.  Occupancy/warmup requests
-    and singleton batches fall back to the scalar core.
-
-    ``jobs`` > 1 additionally forks worker processes over the batch on
-    platforms with ``fork`` (the warm planes are inherited
-    copy-on-write, so workers start hot); elsewhere, or inside a
-    daemonic pool worker, the batch runs in-process.
-    """
-    configs = list(configs)
-    if track_occupancy or warmup is not None or len(configs) < 2:
-        return [
-            simulate(
-                trace, config,
-                track_occupancy=track_occupancy,
-                max_cycles=max_cycles,
-                warmup=warmup,
-            )
-            for config in configs
-        ]
-    from repro.uarch.pipeline.lockstep import LockstepCore, run_batch_forked
-
-    if jobs is not None and jobs > 1:
-        forked = run_batch_forked(trace, configs, max_cycles, jobs)
-        if forked is not None:
-            return forked
-    return LockstepCore(trace, configs, max_cycles=max_cycles).run()

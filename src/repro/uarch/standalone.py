@@ -28,7 +28,7 @@ def run_cache_only_batch(
 ) -> list[tuple[CacheResult, CacheResult]]:
     """Replay the data reference stream under many memory configurations.
 
-    The lockstep counterpart for standalone analyses (the Figure 5/6
+    The batch form for standalone analyses (the Figure 5/6
     parameter sweeps replay one trace under dozens of hierarchies):
     the memory-op index list is extracted from the decode plane once
     and every hierarchy replays against it, so per-configuration cost

@@ -36,13 +36,13 @@ FL002    cache-key soundness: every configuration-dataclass field
          simulation but escapes the key aliases distinct
          configurations onto one cache entry.  Interprocedural REP003
          (REP003 checks *declared* fields; FL002 checks *used* ones).
-FL003    fork-shared-state safety: writes to instances of the warmed
-         lockstep/decode plane classes (or cross-module global
-         mutation) from code reachable in fork workers.  Pre-fork
-         planes are inherited copy-on-write as shared read-only
-         state; a worker-side write silently forks the physical pages
-         and defeats the sharing — or, in-process, corrupts every
-         other lane.
+FL003    fork-shared-state safety: writes to instances of the trace
+         and decode plane classes (or cross-module global mutation)
+         from code reachable in fork workers.  Pre-fork planes are
+         inherited copy-on-write as shared read-only state; a
+         worker-side write silently forks the physical pages and
+         defeats the sharing — or, in-process, corrupts every later
+         configuration simulated over the same plane.
 FL004    blocking-call reachability in serve coroutines: REP006
          through the call graph, so a ``time.sleep`` one synchronous
          helper deep still stalls the event loop and still fails.
@@ -113,8 +113,6 @@ _SIM_TASKS = {
     "execute_simulate", "execute_simulate_batch",
     "execute_sweep_point", "execute_sweep_batch",
 }
-#: Entry points that execute inside fork workers over pre-warmed state.
-_FORK_EXTRA_ROOTS = ("repro.uarch.pipeline.lockstep._run_fork_chunk",)
 #: The single definition of configuration → cache-key coverage.
 _KEY_FUNCTION = "repro.runtime.keys.config_key"
 #: Key builders: environment reads reachable from these are "salted".
@@ -227,20 +225,11 @@ _SHARED_OWNERS = {
     "repro.uarch.pipeline.decode.DecodedTrace": (
         "repro/uarch/pipeline/decode.py",
     ),
-    "repro.uarch.pipeline.lockstep.SharedPlanes": (
-        "repro/uarch/pipeline/lockstep.py",
-    ),
-    "repro.uarch.pipeline.lockstep._BranchPlane": (
-        "repro/uarch/pipeline/lockstep.py",
-    ),
-    "repro.uarch.pipeline.lockstep._FrontPlane": (
-        "repro/uarch/pipeline/lockstep.py",
-    ),
 }
 
 
 def default_taint_spec(package_root: Path | None = None) -> TaintSpec:
-    """The repo's spec: config dataclasses + lockstep plane classes."""
+    """The repo's spec: config dataclasses + trace/decode plane classes."""
     root = PACKAGE_ROOT if package_root is None else package_root
     config_source = (root / "uarch" / "config.py").read_text()
     tree = ast.parse(config_source)
@@ -284,7 +273,6 @@ def default_taint_spec(package_root: Path | None = None) -> TaintSpec:
         "dtlb": f"{_CONFIG_MODULE}.TlbConfig",
         "trace": "repro.isa.trace.Trace",
         "plane": "repro.uarch.pipeline.decode.DecodedTrace",
-        "shared": "repro.uarch.pipeline.lockstep.SharedPlanes",
     }
     return TaintSpec(
         config_fields=config_fields,
@@ -1414,9 +1402,7 @@ def fl003(
     if shared is None:
         shared = dict(_SHARED_OWNERS)
     if fork_roots is None:
-        fork_roots = default_task_roots(graph) + [
-            qual for qual in _FORK_EXTRA_ROOTS if qual in graph.functions
-        ]
+        fork_roots = default_task_roots(graph)
     parents = reachable(graph, fork_roots)
     violations = []
     for qual in parents:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 import repro.__main__ as cli
-from repro.bench import check_baseline, check_lockstep_floor
+from repro.bench import check_baseline
 
 REPORT = {
     "metrics": {
@@ -69,35 +69,6 @@ class TestCheckBaseline:
         ) == []
         assert len(warnings) == 1
         assert "simulate" in warnings[0]
-
-
-class TestLockstepFloor:
-    @staticmethod
-    def _report(jobs: int, speedup: float) -> dict:
-        return {
-            "metrics": {
-                "simulate_lockstep": {
-                    "ips": 400, "scalar_ips": 100, "configs": 8,
-                    "jobs": jobs, "speedup_vs_scalar": speedup,
-                },
-            },
-        }
-
-    def test_parallel_regime_enforces_the_25x_floor(self):
-        failures = check_lockstep_floor(self._report(jobs=4, speedup=2.4))
-        assert len(failures) == 1
-        assert "2.50x floor" in failures[0]
-        assert check_lockstep_floor(self._report(jobs=4, speedup=2.6)) == []
-
-    def test_serial_regime_only_guards_against_slower_than_scalar(self):
-        failures = check_lockstep_floor(self._report(jobs=1, speedup=0.8))
-        assert len(failures) == 1
-        assert "0.90x floor" in failures[0]
-        assert check_lockstep_floor(self._report(jobs=1, speedup=1.1)) == []
-
-    def test_reports_without_the_metric_pass_vacuously(self):
-        assert check_lockstep_floor(REPORT) == []
-        assert check_lockstep_floor({"metrics": {}}) == []
 
 
 class TestBenchCheckCli:

@@ -520,6 +520,72 @@ class TestRouterHealth:
         asyncio.run(main())
 
 
+class TestLargeResponses:
+    """Response lines longer than asyncio's default 64 KiB line limit.
+
+    Default-``best_count`` BLAST responses over a few thousand database
+    sequences run to ~80 KB; a reader with the default limit fails on
+    them and the router ejects the replica that sent them.
+    """
+
+    BLOB = "A" * (200 * 1024)
+
+    @staticmethod
+    async def large_responder(stub, data, writer):
+        return {
+            "id": str(data.get("id", "")),
+            "status": "ok",
+            "result": {"blob": TestLargeResponses.BLOB, "by": stub.name},
+        }
+
+    def test_router_relays_large_responses_without_ejection(self):
+        async def main():
+            stubs = [
+                await StubReplica(name, self.large_responder).start()
+                for name in ("a", "b")
+            ]
+            router = await routed(stubs)
+            try:
+                for index in range(4):
+                    response = await asyncio.wait_for(
+                        router.dispatch_search(
+                            search_payload(f"r{index}", QUERY[index:])
+                        ),
+                        timeout=10,
+                    )
+                    assert response["status"] == "ok"
+                    assert response["result"]["blob"] == self.BLOB
+                assert router.ejections.value == 0
+                assert all(
+                    replica.state == STATE_HEALTHY
+                    for replica in router.replicas.values()
+                )
+            finally:
+                await router.stop()
+                for stub in stubs:
+                    await stub.stop()
+
+        asyncio.run(main())
+
+    def test_loadgen_tcp_client_reads_large_responses(self):
+        from repro.serve.loadgen import TcpClient
+
+        async def main():
+            stub = await StubReplica("a", self.large_responder).start()
+            client = await TcpClient.connect("127.0.0.1", stub.port)
+            try:
+                response = await asyncio.wait_for(
+                    client.request(search_payload("r", QUERY)), timeout=10
+                )
+                assert response["status"] == "ok"
+                assert response["result"]["blob"] == self.BLOB
+            finally:
+                await client.close()
+                await stub.stop()
+
+        asyncio.run(main())
+
+
 class TestRouterTelemetry:
     def test_aggregate_pools_histogram_samples(self):
         async def main():

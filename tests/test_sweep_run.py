@@ -133,22 +133,49 @@ class TestResume:
         assert renders[0] == renders[1]
         assert manifests[0] == manifests[1]
 
-    def test_engine_switch_resume_is_byte_identical(self, spec, tmp_path):
-        """Interrupt under the lockstep engine, resume under the scalar
-        one: the final manifest and report must be byte-identical to a
-        pure scalar run's (and vice versa), because per-point results
-        and digests are engine-independent and the recorded ``engine``
-        is the one of the run that finished the grid."""
-        switched_cache = str(tmp_path / "a")
-        with ExperimentRuntime(cache_dir=switched_cache) as runtime:
-            run_sweep(spec, runtime, max_points=1, lockstep=True)
-            run_sweep(spec, runtime, lockstep=False)
+    def test_manifest_with_engine_field_resumes_without_executing(
+        self, spec, tmp_path
+    ):
+        """Manifests from before the single-core simulator carry an
+        informational ``"engine": "lockstep"`` field.  Resume never
+        keyed on it, so such a manifest still resumes every point."""
+        cache = str(tmp_path / "cache")
+        with ExperimentRuntime(cache_dir=cache) as runtime:
+            run_sweep(spec, runtime)
+        path = SweepManifest.open(f"{cache}/sweeps", spec).path
+        data = json.loads(path.read_text())
+        assert "engine" not in data
+        data["engine"] = "lockstep"
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        with ExperimentRuntime(cache_dir=cache) as runtime:
+            rerun = run_sweep(spec, runtime)
+            assert rerun.executed == []
+            assert rerun.invalidated == []
+            assert len(rerun.resumed) == 4
+            assert runtime.metrics.counts()["sweep_executions"] == 0
+
+    def test_resume_from_engine_field_manifest_is_byte_identical(
+        self, spec, tmp_path
+    ):
+        """Interrupt, add the old ``engine`` field, resume: the final
+        manifest and report match an uninterrupted run's byte for
+        byte (the rewrite drops the field)."""
+        resumed_cache = str(tmp_path / "a")
+        with ExperimentRuntime(cache_dir=resumed_cache) as runtime:
+            run_sweep(spec, runtime, max_points=1)
+            path = SweepManifest.open(f"{resumed_cache}/sweeps", spec).path
+            data = json.loads(path.read_text())
+            data["engine"] = "lockstep"
+            path.write_text(json.dumps(data, indent=2, sort_keys=True))
+            rerun = run_sweep(spec, runtime)
+            assert len(rerun.executed) == 3
+            assert len(rerun.resumed) == 1
         straight_cache = str(tmp_path / "b")
         with ExperimentRuntime(cache_dir=straight_cache) as runtime:
-            run_sweep(spec, runtime, lockstep=False)
+            run_sweep(spec, runtime)
         renders = []
         manifests = []
-        for cache in (switched_cache, straight_cache):
+        for cache in (resumed_cache, straight_cache):
             state = f"{cache}/sweeps"
             renders.append(
                 render_report(report_data(spec, state), "json")
@@ -158,17 +185,6 @@ class TestResume:
             )
         assert renders[0] == renders[1]
         assert manifests[0] == manifests[1]
-        assert SweepManifest.open(
-            f"{switched_cache}/sweeps", spec
-        ).engine == "scalar"
-
-    def test_manifest_records_lockstep_engine(self, spec, tmp_path):
-        cache = str(tmp_path / "cache")
-        with ExperimentRuntime(cache_dir=cache) as runtime:
-            run_sweep(spec, runtime)
-        manifest = SweepManifest.open(f"{cache}/sweeps", spec)
-        assert manifest.engine == "lockstep"
-        assert json.loads(manifest.path.read_text())["engine"] == "lockstep"
 
 
 class TestCacheIdentity:
