@@ -13,6 +13,7 @@ DP workload the paper's SSEARCH analysis covers —
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.align.needleman_wunsch import needleman_wunsch, nw_score
@@ -51,12 +52,17 @@ class MultipleAlignment:
         return "".join(row[index] for row in self.rows)
 
     def consensus(self) -> str:
-        """Majority residue per column (``-`` only if gaps dominate)."""
+        """Majority residue per column (``-`` only if gaps dominate).
+
+        Ties go to the residue of the earliest row, so the answer never
+        depends on string hashing (``PYTHONHASHSEED``).
+        """
         out = []
         for index in range(self.column_count):
-            column = self.column(index)
-            best = max(set(column), key=lambda c: (column.count(c), c != "-"))
-            out.append(best)
+            # Counter keeps first-seen (row) order; max() keeps the
+            # first of equal keys.
+            counts = Counter(self.column(index))
+            out.append(max(counts, key=lambda c: (counts[c], c != "-")))
         return "".join(out)
 
     def column_identity(self, index: int) -> float:

@@ -205,12 +205,9 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
         for name, measured in metrics.items()
         if REFERENCE_IPS.get(name)
     }
-    from repro.isa.builder import emission_mode
-
     return {
         "version": 1,
         "mode": "quick" if quick else "full",
-        "emit_mode": emission_mode(),
         "workload": BENCH_WORKLOAD,
         "suite": dict(_SUITE_PARAMS, trace_budget=_TRACE_BUDGET),
         "metrics": metrics,
@@ -542,13 +539,9 @@ def check_regression(
 
 def format_report(report: dict[str, Any]) -> str:
     """Human-readable summary of a benchmark report."""
-    emit_mode = report.get("emit_mode")
-    header = (
-        f"benchmark ({report['mode']}, workload {report['workload']}"
-        + (f", emit={emit_mode}" if emit_mode else "")
-        + "):"
-    )
-    lines = [header]
+    lines = [
+        f"benchmark ({report['mode']}, workload {report['workload']}):"
+    ]
     for name, metrics in report["metrics"].items():
         speedup = report["speedup_vs_reference"].get(name)
         versus = (

@@ -27,14 +27,13 @@ Structurally repetitive inner loops can skip the per-call path
 entirely: a kernel registers the static shape of its hot block as an
 :class:`~repro.isa.emit.EmitTemplate` and calls :meth:`TraceBuilder.stamp`
 to materialize whole loop runs as bulk NumPy column chunks (see
-:mod:`repro.isa.emit`).  The ``REPRO_EMIT`` environment variable
-selects the kernels' emission path (``templated``, the default, or
-``scalar`` as the escape hatch); both produce byte-identical traces.
+:mod:`repro.isa.emit`).  The builder's ``emit_mode`` argument selects
+the kernels' emission path: ``templated`` (the default) or ``scalar``,
+the per-call reference the equivalence tests compare against.  Both
+produce byte-identical traces, so the cache key omits the mode.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -63,25 +62,10 @@ __all__ = [
     "Slot",
     "TraceBudgetExceededError",
     "TraceBuilder",
-    "emission_mode",
 ]
 
-#: Recognized values of the ``REPRO_EMIT`` escape hatch.
+#: Recognized ``emit_mode`` values; the first is the default.
 EMIT_MODES = ("templated", "scalar")
-
-
-def emission_mode() -> str:
-    """The process-wide kernel emission mode (``REPRO_EMIT`` env var)."""
-    # Both emission modes are byte-identical by contract (CI runs the
-    # golden-equivalence matrix over REPRO_EMIT=scalar|templated), so
-    # the cache key deliberately omits the mode.
-    mode = os.environ.get("REPRO_EMIT", "templated").strip().lower()  # flowlint: disable=FL005
-    if mode not in EMIT_MODES:
-        raise ValueError(
-            f"REPRO_EMIT={mode!r} is not a valid emission mode; "
-            f"expected one of {EMIT_MODES}"
-        )
-    return mode
 
 #: Base of the synthetic code segment (site pcs) and data segment.
 CODE_BASE = 0x0001_0000
@@ -105,12 +89,12 @@ class TraceBuilder:
         name: str,
         record: bool = True,
         limit: int | None = None,
-        emit_mode: str | None = None,
+        emit_mode: str = "templated",
     ) -> None:
         self.name = name
         self.record = record
         self.limit = limit
-        self.emit_mode = emission_mode() if emit_mode is None else emit_mode
+        self.emit_mode = emit_mode
         if self.emit_mode not in EMIT_MODES:
             raise ValueError(
                 f"emit_mode={self.emit_mode!r} is not one of {EMIT_MODES}"

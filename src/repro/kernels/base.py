@@ -69,14 +69,15 @@ class TracedKernel(abc.ABC):
         database: SequenceDatabase,
         record: bool = True,
         limit: int | None = None,
-        emit_mode: str | None = None,
+        emit_mode: str = "templated",
     ) -> KernelRun:
         """Trace the application over ``database``.
 
         ``record=False`` counts instructions without materializing them
         (for Table III-scale measurements); ``limit`` truncates the run
-        once the instruction budget is reached; ``emit_mode`` overrides
-        the process-wide ``REPRO_EMIT`` templated/scalar selection.
+        once the instruction budget is reached; ``emit_mode="scalar"``
+        selects per-call emission, the byte-identical reference for the
+        templated default.
         """
         builder = TraceBuilder(
             self.name, record=record, limit=limit, emit_mode=emit_mode

@@ -175,7 +175,7 @@ class BlastKernel(TracedKernel):
         subject_base: int,
         r_sub: int,
     ) -> int:
-        """Per-call scalar scan loop (the ``REPRO_EMIT=scalar`` path)."""
+        """Per-call scalar scan loop (the ``emit_mode="scalar"`` path)."""
         word_size = self.options.word_size
         pv_base = bases["pv"]
         best = 0

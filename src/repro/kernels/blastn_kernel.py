@@ -154,7 +154,7 @@ class BlastnKernel(TracedKernel):
         subject_base: int,
         r_ctx: int,
     ) -> int:
-        """Per-call scalar scan (the ``REPRO_EMIT=scalar`` path)."""
+        """Per-call scalar scan (the ``emit_mode="scalar"`` path)."""
         options = self.options
         word_size = options.word_size
         mask = (1 << (2 * word_size)) - 1

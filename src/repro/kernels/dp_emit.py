@@ -217,7 +217,7 @@ def _banded_dp_scalar(
     subject_base: int,
     r_ctx: int,
 ) -> int:
-    """Per-call scalar emission (the ``REPRO_EMIT=scalar`` path)."""
+    """Per-call scalar emission (the ``emit_mode="scalar"`` path)."""
     q = query_codes
     s = subject_codes
     if not q or not s:

@@ -257,7 +257,7 @@ class FastaKernel(TracedKernel):
         hitlist_base: int,
         r_sub: int,
     ) -> dict[int, list[int]]:
-        """Per-call scalar stage-1 scan (the ``REPRO_EMIT=scalar`` path)."""
+        """Per-call scalar stage-1 scan (the ``emit_mode="scalar"`` path)."""
         ktup = self.options.ktup
         hits: dict[int, list[int]] = {}
         r_ptr = r_sub

@@ -8,11 +8,12 @@ Four layers:
   as ``python -m repro lint-trace`` and as ``strict=True`` hooks in
   ``load_trace`` / ``TraceBuilder.build`` / the runtime cache.
 * **RepoLint** (:mod:`repro.verify.repolint`): per-file ``ast`` passes
-  (REP001-REP008) encoding repo-specific hazards — nondeterminism,
-  column mutation, cache-key drift, serialization-version drift,
-  exception hygiene, ad-hoc config-grid loops that bypass
-  ``repro.sweep``, and per-cycle allocation.  Exposed as
-  ``python -m repro lint-code`` and as a tier-1 pytest gate.
+  (REP001, REP002, REP004, REP005, REP007-REP009) encoding
+  repo-specific hazards — nondeterminism, column mutation,
+  serialization-version drift, exception hygiene, ad-hoc config-grid
+  loops that bypass ``repro.sweep``, per-cycle allocation, and ad-hoc
+  on-disk caches.  Exposed as ``python -m repro lint-code`` and as a
+  tier-1 pytest gate.
 * **SweepLint** (:mod:`repro.verify.sweeplint`): data-level validation
   rules (SW001-SW007) for declarative sweep specs, run at spec load
   time so a campaign fails before any task executes.
@@ -23,8 +24,7 @@ Four layers:
   read-only in workers, serve coroutines cannot reach blocking calls,
   and environment reads feeding cached results are key-salted.
   Exposed as ``python -m repro lint-flow`` and the
-  ``ExperimentRuntime(strict=True)`` hook; full ``lint-code`` runs
-  route REP006 through its call graph.
+  ``ExperimentRuntime(strict=True)`` hook.
 
 See ``docs/verify.md`` for the rule catalogue and suppression syntax.
 """
@@ -42,7 +42,6 @@ from repro.verify.flow import (
 from repro.verify.repolint import (
     RULES,
     LintViolation,
-    config_key_coverage,
     lint_paths,
     lint_source,
     serialization_fingerprint,
@@ -83,7 +82,6 @@ __all__ = [
     "build_graph",
     "check_flow",
     "check_trace",
-    "config_key_coverage",
     "lint_flow",
     "lint_paths",
     "lint_source",

@@ -13,7 +13,9 @@ reachability and dataflow properties over it:
    ``src/repro``;
 2. a **call graph** — direct calls, method resolution through local
    type inference (``x = ClassName(...)`` / annotated parameters /
-   ``self``), dict dispatch (``TASK_KINDS[kind](payload)`` — the
+   ``self``) to the inherited definition *and* every subclass override
+   (``self.execute()`` in a base class reaches each kernel's
+   ``execute``), dict dispatch (``TASK_KINDS[kind](payload)`` — the
    runtime's task-kind dispatch), pool callbacks (``pool.map(f, ...)``)
    and one-hop import re-exports;
 3. **forward dataflow facts** per function — nondeterminism sources,
@@ -29,13 +31,15 @@ FL001    nondeterminism reachable from a cached task body: any
          function transitively reachable from the runtime's cached
          task kinds (``simulate``, ``trace``, ``sweep_point``,
          ``lint``, ...) that can reach an unseeded RNG, a wall-clock
-         read, or unsorted set iteration.  Interprocedural REP001.
+         read, or unsorted set iteration.  Interprocedural REP001
+         (which still checks the modules no cached task reaches).
 FL002    cache-key soundness: every configuration-dataclass field
          read anywhere under the simulate call graph must also be
          read by ``runtime.keys.config_key``; a field that influences
          simulation but escapes the key aliases distinct
-         configurations onto one cache entry.  Interprocedural REP003
-         (REP003 checks *declared* fields; FL002 checks *used* ones).
+         configurations onto one cache entry.  The mutation guards in
+         :mod:`repro.verify.guards` cover *declared* fields; FL002
+         covers *used* ones.
 FL003    fork-shared-state safety: writes to instances of the trace
          and decode plane classes (or cross-module global mutation)
          from code reachable in fork workers.  Pre-fork planes are
@@ -43,9 +47,11 @@ FL003    fork-shared-state safety: writes to instances of the trace
          worker-side write silently forks the physical pages and
          defeats the sharing — or, in-process, corrupts every later
          configuration simulated over the same plane.
-FL004    blocking-call reachability in serve coroutines: REP006
-         through the call graph, so a ``time.sleep`` one synchronous
-         helper deep still stalls the event loop and still fails.
+FL004    blocking calls reachable from serve/cluster coroutines:
+         ``time.sleep`` (use ``asyncio.sleep``) or an un-awaited
+         ``.get()`` without arguments or ``timeout=``, written in the
+         coroutine or any synchronous helper it calls — either stalls
+         the event loop for every in-flight request.
 FL005    environment-influence escape: an environment variable read
          reachable from a cached task body that is not salted into
          the cache key (compare ``REPRO_SCALE``, which flows through
@@ -82,15 +88,13 @@ from pathlib import Path
 from repro.verify.repolint import (
     PACKAGE_ROOT,
     LintViolation,
-    _dataclass_fields_from_source,
-    blocking_findings,
     nondet_findings,
     suppression_maps,
 )
 
 #: Bump when the analysis itself changes shape: cached graphs carry the
 #: version in their content digest, so stale pickles self-invalidate.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 FLOW_RULES: dict[str, str] = {
     "FL001": "nondeterminism reachable from a cached task body",
@@ -226,6 +230,39 @@ _SHARED_OWNERS = {
         "repro/uarch/pipeline/decode.py",
     ),
 }
+
+
+def _dataclass_fields_from_source(source: str) -> dict[str, dict[str, int]]:
+    """``class name -> {field name -> line}`` for @dataclass definitions."""
+    tree = ast.parse(source)
+    result: dict[str, dict[str, int]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        is_dataclass = any(
+            (isinstance(d, ast.Name) and d.id == "dataclass")
+            or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
+            or (
+                isinstance(d, ast.Call)
+                and (
+                    (isinstance(d.func, ast.Name)
+                     and d.func.id == "dataclass")
+                    or (isinstance(d.func, ast.Attribute)
+                        and d.func.attr == "dataclass")
+                )
+            )
+            for d in node.decorator_list
+        )
+        if not is_dataclass:
+            continue
+        fields: dict[str, int] = {}
+        for statement in node.body:
+            if isinstance(statement, ast.AnnAssign) and isinstance(
+                statement.target, ast.Name
+            ):
+                fields[statement.target.id] = statement.lineno
+        result[node.name] = fields
+    return result
 
 
 def default_taint_spec(package_root: Path | None = None) -> TaintSpec:
@@ -1017,6 +1054,55 @@ def _const_str(node: ast.expr) -> str | None:
     return None
 
 
+def blocking_findings(
+    owner: ast.AST, aliases: dict[str, str]
+) -> list[tuple[int, str]]:
+    """Event-loop-blocking primitives in one function body (FL004's facts).
+
+    Runs over every function, ``async`` or not: FL004 decides by
+    reachability whether a serve coroutine can call it.  Call nodes
+    that are directly awaited (asyncio ``Queue.get()`` and friends) are
+    non-blocking by definition and skipped.
+    """
+    awaited = {
+        id(waited.value)
+        for waited in ast.walk(owner)
+        if isinstance(waited, ast.Await)
+    }
+    findings: list[tuple[int, str]] = []
+    for node in ast.walk(owner):
+        if not isinstance(node, ast.Call) or id(node) in awaited:
+            continue
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            continue
+        chain = _name_chain(func)
+        root = aliases.get(chain[0]) if chain else None
+        if root == "time" and func.attr == "sleep":
+            findings.append((
+                node.lineno,
+                "time.sleep() blocks the event loop; use asyncio.sleep",
+            ))
+        elif (
+            func.attr == "get"
+            and not node.args
+            and not any(
+                keyword.arg == "timeout" for keyword in node.keywords
+            )
+            and not (
+                isinstance(func.value, ast.Name)
+                and func.value.id in aliases
+            )
+        ):
+            findings.append((
+                node.lineno,
+                "synchronous .get() without a timeout can block the "
+                "event loop indefinitely; await an asyncio queue or "
+                "pass timeout=",
+            ))
+    return findings
+
+
 def scan_module(
     source: str,
     relative: str,
@@ -1074,6 +1160,14 @@ def _link(
     class_by_name: dict[str, list[str]] = {}
     for qual, class_facts in classes.items():
         class_by_name.setdefault(class_facts.name, []).append(qual)
+    subclasses: dict[str, list[str]] = {}
+    for qual, class_facts in classes.items():
+        for base in class_facts.bases:
+            parents = [base] if base in classes else class_by_name.get(
+                base, []
+            )
+            for parent in parents:
+                subclasses.setdefault(parent, []).append(qual)
     method_index: dict[str, list[str]] = {}
     for qual, info in functions.items():
         if info.cls is not None:
@@ -1119,6 +1213,26 @@ def _link(
             queue.extend(info.bases)
         return []
 
+    def resolve_overrides(class_qual: str, method: str) -> list[str]:
+        """Every subclass definition of ``method`` below ``class_qual``.
+
+        A typed receiver may hold any subclass instance at run time, so
+        ``self.execute()`` in a base class must reach each override.
+        """
+        found: list[str] = []
+        seen = {class_qual}
+        queue = list(subclasses.get(class_qual, []))
+        while queue:
+            current = queue.pop(0)
+            if current in seen:
+                continue
+            seen.add(current)
+            override = classes[current].methods.get(method)
+            if override is not None:
+                found.append(override)
+            queue.extend(subclasses.get(current, []))
+        return found
+
     edges: dict[str, list[tuple[str, int]]] = {}
     for qual, info in functions.items():
         out: list[tuple[str, int]] = []
@@ -1131,6 +1245,7 @@ def _link(
                 targets = resolve_method(class_qual, method)
                 if not targets and class_qual not in classes:
                     targets = method_index.get(method, [])
+                targets = targets + resolve_overrides(class_qual, method)
             elif kind == "method":
                 targets = method_index.get(data, [])
             elif kind == "table":
@@ -1440,7 +1555,7 @@ def fl004(
     graph: FlowGraph,
     serve_prefix: str | tuple[str, ...] = _SERVE_PREFIXES,
 ) -> list[FlowViolation]:
-    """Blocking calls reachable from serve coroutines (interproc REP006)."""
+    """Blocking calls in, or reachable from, serve coroutines."""
     prefixes = (
         (serve_prefix,) if isinstance(serve_prefix, str)
         else tuple(serve_prefix)
@@ -1558,9 +1673,7 @@ FLOW_RULE_IMPLS = {
 # ----------------------------------------------------------------------
 
 def _filter_suppressed(
-    violations: list[FlowViolation],
-    source_root: Path,
-    tag: str = "flowlint",
+    violations: list[FlowViolation], source_root: Path
 ) -> list[FlowViolation]:
     by_file: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
     kept = []
@@ -1569,7 +1682,7 @@ def _filter_suppressed(
         if maps is None:
             path = source_root / violation.path
             try:
-                maps = suppression_maps(path.read_text(), tag)
+                maps = suppression_maps(path.read_text(), "flowlint")
             except OSError:
                 maps = ({}, set())
             by_file[violation.path] = maps
@@ -1604,49 +1717,6 @@ def lint_flow(
         )
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return violations
-
-
-def rep006_violations(
-    graph: FlowGraph | None = None,
-) -> list[LintViolation]:
-    """FL004's reachability analysis reported under the REP006 rule id.
-
-    ``repro lint-code`` routes REP006 through here on full-package
-    runs, so the classic rule id gains call-graph depth; suppression
-    uses the ordinary ``# repolint: disable=REP006`` comments at the
-    blocking line.
-    """
-    graph = _default_graph() if graph is None else graph
-    source_root = Path(graph.source_root)
-    # Honor both spellings: an FL004 flowlint disable on the blocking
-    # line quiets the flow-routed REP006 too (same finding, two rule
-    # ids), as does the classic REP006 repolint disable.
-    findings = _filter_suppressed(fl004(graph), source_root)
-    filtered = _filter_suppressed(
-        [
-            FlowViolation("REP006", f.path, f.line, f.message, f.chain)
-            for f in findings
-        ],
-        source_root,
-        tag="repolint",
-    )
-    return [
-        LintViolation("REP006", f.path, f.line, f.message)
-        for f in filtered
-    ]
-
-
-#: Per-process memo of the default whole-repo graph, revalidated by
-#: source digest so in-process edits (tests writing fixtures) miss.
-_graph_memo: FlowGraph | None = None
-
-
-def _default_graph() -> FlowGraph:
-    global _graph_memo
-    digest = source_digest(PACKAGE_ROOT)
-    if _graph_memo is None or _graph_memo.digest != digest:
-        _graph_memo = build_graph()
-    return _graph_memo
 
 
 _strict_checked: set[str] = set()
@@ -1694,18 +1764,10 @@ def stale_suppressions(
     source_root = root.parent
     graph = build_graph(root if package_root is not None else None)
     flow_raw = lint_flow(graph=graph, honor_suppressions=False)
-    rep006_raw = [
-        LintViolation("REP006", f.path, f.line, f.message)
-        for f in fl004(graph)
-    ]
     findings: dict[str, list[tuple[int, str, str]]] = {}
     for violation in flow_raw:
         findings.setdefault(violation.path, []).append(
             (violation.line, "flowlint", violation.rule)
-        )
-    for violation in rep006_raw:
-        findings.setdefault(violation.path, []).append(
-            (violation.line, "repolint", violation.rule)
         )
     stale: list[LintViolation] = []
     for path in sorted(root.rglob("*.py")):

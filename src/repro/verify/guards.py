@@ -1,11 +1,11 @@
-"""Dynamic invariant guards shared by the test suite and ``lint-code``.
+"""Dynamic cache-key guards: every configuration knob must address the cache.
 
-REP003's static pass (:func:`repro.verify.repolint.config_key_coverage`)
-proves every configuration field is *read* by the cache key builder;
-the guards here prove the stronger dynamic property: mutating any field
-actually *changes* the key.  Both live in ``repro.verify`` so the guard
-logic exists in exactly one place — ``tests/test_config_key_guard.py``
-is a thin caller.
+The guards prove that mutating any declared field of a configuration
+dataclass actually *changes* ``runtime.keys.config_key`` — stronger
+than any static check that the key builder merely reads the field.
+FlowLint's FL002 covers the other direction: fields read under the
+simulate call graph must reach the key.  The guard logic lives here,
+in one place; ``tests/test_config_key_guard.py`` is a thin caller.
 
 Each table maps ``field name -> mutation`` producing a valid,
 structurally different configuration.  Adding a field to a config

@@ -1,27 +1,20 @@
 """RepoLint: AST passes encoding this repo's domain-specific hazards.
 
 Generic linters cannot know that a wall-clock read inside a kernel
-poisons trace determinism, that writing into ``trace.columns`` corrupts
-every content digest downstream, or that a configuration knob missing
-from the cache key silently aliases simulation results.  Each rule here
-encodes one such incident class (several were real: the ``memory.name``
-key aliasing of PR 1, digest drift caught by ad-hoc guard tests):
+poisons trace determinism, or that writing into ``trace.columns``
+corrupts every content digest downstream.  Each rule here encodes one
+such incident class (digest drift caught by ad-hoc guard tests was a
+real one):
 
 =======  =============================================================
 REP001   nondeterminism in library code: wall-clock reads, unseeded
          RNG, global NumPy random state (outside the CLI/bench tools)
 REP002   direct mutation of trace columns or the decode plane outside
          their owning modules (use copy APIs like ``extract_window``)
-REP003   a configuration dataclass field that the cache key builder
-         (``runtime.keys.config_key``) never reads
 REP004   digest-relevant serialization code changed without bumping
          ``CACHE_SCHEMA_VERSION`` (tracked via a pinned manifest)
 REP005   bare ``except`` or silently swallowed broad ``except`` in the
          ``repro.runtime`` workers/executors
-REP006   blocking calls inside ``repro.serve`` coroutine code:
-         ``time.sleep`` (use ``asyncio.sleep``) or a synchronous
-         argument-less ``.get()`` on a queue/pool handle without a
-         timeout — either stalls the event loop for every request
 REP007   ad-hoc configuration-grid loops in ``repro.analysis`` drivers
          that bypass ``repro.sweep``: a multi-axis comprehension fed to
          ``simulate_many``, or a ``simulate_trace``/``simulate_app``
@@ -47,6 +40,12 @@ REP009   ad-hoc persistence outside the storage layer: a
          cache silently serves stale data across code versions
 =======  =============================================================
 
+Rule ids are never renumbered or reused; the gaps are retired rules
+whose hazards have one check elsewhere.  Config fields missing from
+the cache key belong to FlowLint's FL002 and the mutation guards in
+:mod:`repro.verify.guards`; blocking calls in serve coroutines belong
+to FlowLint's FL004.
+
 Suppression: append ``# repolint: disable=REP00x`` (comma-separated for
 several rules) to the offending line, or put
 ``# repolint: disable-file=REP00x`` anywhere in the file.
@@ -69,10 +68,8 @@ PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 RULES: dict[str, str] = {
     "REP001": "nondeterminism in library code",
     "REP002": "trace/decode-plane mutation outside owning modules",
-    "REP003": "config field missing from the cache key",
     "REP004": "serialization change without a schema-version bump",
     "REP005": "bare or silently swallowed broad except in repro.runtime",
-    "REP006": "blocking call in repro.serve coroutine code",
     "REP007": "ad-hoc config-grid loop bypassing repro.sweep",
     "REP008": "per-cycle object allocation in a repro.uarch cycle loop",
     "REP009": "ad-hoc on-disk cache outside the storage layer",
@@ -104,10 +101,6 @@ REP002_OWNERS = (
 
 #: Where REP005 applies.
 REP005_SCOPE = "runtime/"
-
-#: Where REP006 applies: every asyncio serving layer — the single
-#: server and the cluster router/supervisor tier built on it.
-REP006_SCOPES = ("serve/", "cluster/")
 
 #: Where REP007 applies (the experiment-driver layer).
 REP007_SCOPE = "analysis/"
@@ -427,102 +420,6 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 
 
 # ----------------------------------------------------------------------
-# REP003 — config-key field coverage
-# ----------------------------------------------------------------------
-
-def _dataclass_fields_from_source(source: str) -> dict[str, dict[str, int]]:
-    """``class name -> {field name -> line}`` for @dataclass definitions."""
-    tree = ast.parse(source)
-    result: dict[str, dict[str, int]] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        is_dataclass = any(
-            (isinstance(d, ast.Name) and d.id == "dataclass")
-            or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
-            or (
-                isinstance(d, ast.Call)
-                and (
-                    (isinstance(d.func, ast.Name)
-                     and d.func.id == "dataclass")
-                    or (isinstance(d.func, ast.Attribute)
-                        and d.func.attr == "dataclass")
-                )
-            )
-            for d in node.decorator_list
-        )
-        if not is_dataclass:
-            continue
-        fields: dict[str, int] = {}
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
-            ):
-                fields[statement.target.id] = statement.lineno
-        result[node.name] = fields
-    return result
-
-
-def _attrs_read_in_function(source: str, function: str) -> set[str]:
-    """All attribute names read anywhere inside one top-level function."""
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            return {
-                sub.attr
-                for sub in ast.walk(node)
-                if isinstance(sub, ast.Attribute)
-            }
-    return set()
-
-
-def config_key_coverage(
-    config_source: str | None = None, keys_source: str | None = None
-) -> dict[str, list[tuple[str, int]]]:
-    """``class -> [(field, line), ...]`` fields the cache key never reads.
-
-    The shared implementation behind REP003 and
-    ``tests/test_config_key_guard.py``: every field of every
-    configuration dataclass in ``uarch/config.py`` must appear as an
-    attribute read inside ``runtime.keys.config_key`` (or be explicitly
-    suppressed there).
-    """
-    if config_source is None:
-        config_source = (PACKAGE_ROOT / "uarch" / "config.py").read_text()
-    if keys_source is None:
-        keys_source = (PACKAGE_ROOT / "runtime" / "keys.py").read_text()
-    classes = _dataclass_fields_from_source(config_source)
-    read = _attrs_read_in_function(keys_source, "config_key")
-    missing: dict[str, list[tuple[str, int]]] = {}
-    for name, fields in classes.items():
-        gaps = [
-            (field, line)
-            for field, line in fields.items()
-            if field not in read
-        ]
-        if gaps:
-            missing[name] = gaps
-    return missing
-
-
-def _rep003() -> list[LintViolation]:
-    config_path = PACKAGE_ROOT / "uarch" / "config.py"
-    relative = str(config_path.relative_to(PACKAGE_ROOT.parent))
-    violations = []
-    for class_name, gaps in config_key_coverage().items():
-        for field_name, line in gaps:
-            violations.append(LintViolation(
-                "REP003",
-                relative,
-                line,
-                f"{class_name}.{field_name} is never read by "
-                "runtime.keys.config_key: different configurations "
-                "would alias one cache entry",
-            ))
-    return violations
-
-
-# ----------------------------------------------------------------------
 # REP004 — serialization manifest
 # ----------------------------------------------------------------------
 
@@ -661,86 +558,6 @@ def _rep005(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
                 f"`except {'/'.join(sorted(broad))}` silently swallows "
                 "errors; narrow the exception types or handle the error",
             ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# REP006 — blocking calls in repro.serve coroutine code
-# ----------------------------------------------------------------------
-
-def blocking_findings(
-    owner: ast.AST, aliases: dict[str, str]
-) -> list[tuple[int, str]]:
-    """Event-loop-blocking primitives in one function body.
-
-    The REP006/FL004 core, applied to any function node (``async`` or
-    not — the flow engine also runs it over synchronous helpers that
-    serve coroutines call).  Call nodes that are directly awaited
-    (asyncio ``Queue.get()`` and friends) are non-blocking by
-    definition and skipped.
-    """
-    awaited = {
-        id(waited.value)
-        for waited in ast.walk(owner)
-        if isinstance(waited, ast.Await)
-    }
-    findings: list[tuple[int, str]] = []
-    for node in ast.walk(owner):
-        if not isinstance(node, ast.Call) or id(node) in awaited:
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        root = aliases.get(_attr_chain(func)[0])
-        if root == "time" and func.attr == "sleep":
-            findings.append((
-                node.lineno,
-                "time.sleep() blocks the event loop; use asyncio.sleep",
-            ))
-        elif (
-            func.attr == "get"
-            and not node.args
-            and not any(
-                keyword.arg == "timeout" for keyword in node.keywords
-            )
-            and not (
-                isinstance(func.value, ast.Name)
-                and func.value.id in aliases
-            )
-        ):
-            findings.append((
-                node.lineno,
-                "synchronous .get() without a timeout can block the "
-                "event loop indefinitely; await an asyncio queue or "
-                "pass timeout=",
-            ))
-    return findings
-
-
-def _rep006(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
-    """Flag event-loop-stalling calls in serving-layer coroutines.
-
-    The serving layer is single-event-loop asyncio: one ``time.sleep``
-    or un-timed synchronous queue/pool ``.get()`` inside a coroutine
-    freezes batching, admission, and every in-flight request at once.
-    Blocking work belongs behind ``run_in_executor`` (see
-    ``ShardSearchBackend``), and delays belong to ``asyncio.sleep``.
-
-    This direct-body pass is the *fallback*: full-package runs route
-    REP006 through the flow engine's call graph instead
-    (:func:`repro.verify.flow.rep006_violations`), which also sees
-    blocking calls hidden inside synchronous helpers the coroutines
-    call.
-    """
-    normalized = relative.replace("\\", "/")
-    if not any(scope in normalized for scope in REP006_SCOPES):
-        return []
-    imports = _ModuleAliases()
-    imports.visit(tree)
-    findings: list[tuple[int, str]] = []
-    for owner in ast.walk(tree):
-        if isinstance(owner, ast.AsyncFunctionDef):
-            findings.extend(blocking_findings(owner, imports.aliases))
     return findings
 
 
@@ -957,7 +774,6 @@ _PER_FILE_RULES = {
     "REP001": _rep001,
     "REP002": _rep002,
     "REP005": _rep005,
-    "REP006": _rep006,
     "REP007": _rep007,
     "REP008": _rep008,
     "REP009": _rep009,
@@ -1000,29 +816,14 @@ def lint_source(
     return violations
 
 
-def _flow_rep006() -> list[LintViolation] | None:
-    """Interprocedural REP006 via the flow engine; ``None`` if unusable."""
-    try:
-        from repro.verify import flow
-
-        return flow.rep006_violations()
-    except Exception:
-        return None
-
-
 def lint_paths(
     paths: list[Path] | None = None,
     rules: set[str] | None = None,
-    use_flow: bool | None = None,
 ) -> list[LintViolation]:
     """Run RepoLint over source files (defaults to all of ``src/repro``).
 
-    Repo-level rules (REP003, REP004) run whenever their subjects are
-    in scope, i.e. always for the default full-package run.  Full
-    default runs also upgrade REP006 to the flow engine's call-graph
-    reachability check (blocking calls hidden inside helpers that serve
-    coroutines call); explicit path subsets and environments where the
-    flow engine cannot build fall back to the direct-body pass.
+    The repo-level rule REP004 checks the pinned serialization manifest
+    on every run, whatever the paths.
     """
     if paths is None:
         files = sorted(PACKAGE_ROOT.rglob("*.py"))
@@ -1033,29 +834,13 @@ def lint_paths(
                 files.extend(sorted(path.rglob("*.py")))
             else:
                 files.append(path)
-    if use_flow is None:
-        use_flow = paths is None
-    flow_rep006: list[LintViolation] | None = None
-    if use_flow and (rules is None or "REP006" in rules):
-        flow_rep006 = _flow_rep006()
-    per_file_rules = rules
-    if flow_rep006 is not None:
-        per_file_rules = (
-            set(RULES) if rules is None else set(rules)
-        ) - {"REP006"}
     violations: list[LintViolation] = []
     for path in files:
         try:
             relative = str(path.resolve().relative_to(PACKAGE_ROOT.parent))
         except ValueError:
             relative = str(path)
-        violations.extend(
-            lint_source(path.read_text(), relative, rules=per_file_rules)
-        )
-    if flow_rep006 is not None:
-        violations.extend(flow_rep006)
-    if rules is None or "REP003" in rules:
-        violations.extend(_rep003())
+        violations.extend(lint_source(path.read_text(), relative, rules=rules))
     if rules is None or "REP004" in rules:
         violations.extend(_rep004())
     violations.sort(key=lambda v: (v.path, v.line, v.rule))

@@ -3,9 +3,9 @@
 A field added to any configuration dataclass but forgotten in
 ``runtime.keys.config_key`` would silently alias cache entries (two
 different machines sharing one cached result).  The mutation tables and
-both guard predicates now live in :mod:`repro.verify.guards`, shared
-with ``repro lint-code`` (REP003); this module is the thin tier-1
-caller that turns each gap into a named assertion failure.
+both guard predicates live in :mod:`repro.verify.guards`; this module
+is the thin tier-1 caller that turns each gap into a named assertion
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.verify.guards import (
     config_key_blind_spots,
     config_mutation_gaps,
 )
-from repro.verify.repolint import config_key_coverage
 
 
 def test_every_config_field_has_a_mutation():
@@ -34,11 +33,6 @@ def test_every_mutation_changes_the_key():
         "these knobs are not part of config_key: different "
         "configurations would alias one cache entry"
     )
-
-
-def test_static_coverage_agrees_with_dynamic_guards():
-    """REP003's AST pass must see the same world as the dynamic guards."""
-    assert config_key_coverage() == {}
 
 
 def test_guard_tables_cover_all_config_dataclasses():

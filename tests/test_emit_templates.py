@@ -24,7 +24,7 @@ from repro.bio.alphabet import DNA
 from repro.bio.database import SequenceDatabase
 from repro.bio.sequence import Sequence
 from repro.bio.synthetic import random_dna
-from repro.isa.builder import EMIT_MODES, TraceBuilder, emission_mode
+from repro.isa.builder import EMIT_MODES, TraceBuilder
 from repro.isa.emit import (
     INTERPRET_BELOW,
     Carry,
@@ -105,7 +105,7 @@ class TestGoldenEquivalence:
             compute_trace_digest(runs["scalar"].trace)
         assert runs["templated"].scores == runs["scalar"].scores
 
-    @pytest.mark.parametrize("name", ["ssearch34", "blast"])
+    @pytest.mark.parametrize("name", GOLDEN)
     def test_budget_truncation_identical(self, query, tiny_database, name):
         runs = {
             mode: create_kernel(name).run(
@@ -140,28 +140,17 @@ class TestGoldenEquivalence:
 
 
 class TestEmissionModeSelection:
-    def test_env_var_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMIT", "scalar")
-        assert emission_mode() == "scalar"
-        assert not TraceBuilder("t").use_templates
-        monkeypatch.setenv("REPRO_EMIT", "templated")
-        assert emission_mode() == "templated"
-        assert TraceBuilder("t").use_templates
+    def test_default_is_templated(self):
+        builder = TraceBuilder("t")
+        assert builder.emit_mode == "templated"
+        assert builder.use_templates
 
-    def test_default_is_templated(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EMIT", raising=False)
-        assert emission_mode() == "templated"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMIT", "fancy")
-        with pytest.raises(ValueError):
-            emission_mode()
-        monkeypatch.delenv("REPRO_EMIT", raising=False)
+    def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             TraceBuilder("t", emit_mode="fancy")
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMIT", "scalar")
+    def test_explicit_mode_selects_path(self):
+        assert not TraceBuilder("t", emit_mode="scalar").use_templates
         assert TraceBuilder("t", emit_mode="templated").use_templates
 
 

@@ -117,7 +117,7 @@ class TestFL004:
     def test_blocking_call_one_helper_deep(self):
         graph = fixture_graph("fl004")
         violations = flow.lint_flow(graph=graph)
-        assert [v.rule for v in violations] == ["FL004", "FL004"]
+        assert [v.rule for v in violations] == ["FL004"] * 3
         violation = next(
             v for v in violations
             if v.path == "repro/serve/sync_ops.py"
@@ -155,17 +155,27 @@ class TestFL004:
         assert not any("tick" in v.chain[0] for v in raw)
         assert not any("probe" in v.chain[0] for v in raw)
 
-    def test_rep006_routes_through_graph(self):
-        """Satellite: the classic rule id gains call-graph depth."""
+    def test_untimed_sync_get_in_coroutine_flagged(self):
         graph = fixture_graph("fl004")
-        findings = flow.rep006_violations(graph)
-        assert [f.rule for f in findings] == ["REP006", "REP006"]
-        assert {f.path for f in findings} == {
-            "repro/cluster/backoff.py", "repro/serve/sync_ops.py"
-        }
-        # The flowlint FL004 disables quiet the REP006 spelling too
-        # (one suppressed twin per package stays suppressed).
-        assert len(findings) == 2
+        violations = flow.lint_flow(graph=graph)
+        [violation] = [
+            v for v in violations if v.path == "repro/cluster/pump.py"
+        ]
+        assert "timeout" in violation.message
+        # Written in the coroutine itself: the chain is just the root.
+        assert violation.chain == ("repro.cluster.pump.pump",)
+
+    def test_awaited_get_and_timed_get_are_legal(self):
+        graph = fixture_graph("fl004")
+        raw = flow.lint_flow(graph=graph, honor_suppressions=False)
+        assert not any(v.chain[0].endswith("pump_safely") for v in raw)
+
+    def test_uncalled_sync_function_is_silent(self):
+        # warmup() sleeps and calls an untimed .get(), but no coroutine
+        # calls it, so it cannot stall the event loop.
+        graph = fixture_graph("fl004")
+        raw = flow.lint_flow(graph=graph, honor_suppressions=False)
+        assert not any(v.chain[-1].endswith("warmup") for v in raw)
 
 
 class TestFL005:
@@ -217,6 +227,27 @@ class TestFL005:
         assert len(flow.lint_flow(graph=graph)) == 2
 
 
+class TestOverrideEdges:
+    def test_base_method_reaches_subclass_override(self):
+        # execute_trace -> Kernel.run -> self.execute must reach the
+        # subclass override, not stop at the abstract base method.
+        graph = fixture_graph("override")
+        violations = flow.lint_flow(graph=graph)
+        assert [v.rule for v in violations] == ["FL001"]
+        violation = violations[0]
+        assert "time.time" in violation.message
+        assert violation.chain == (
+            "repro.runtime.tasks.execute_trace",
+            "repro.kernels.base.Kernel.run",
+            "repro.kernels.clock.ClockKernel.execute",
+        )
+
+    def test_unrelated_class_is_not_an_override(self):
+        graph = fixture_graph("override")
+        reached = flow.reachable(graph, flow.default_task_roots(graph))
+        assert "repro.kernels.clock.Unrelated.execute" not in reached
+
+
 @pytest.fixture(scope="module")
 def repo_graph() -> flow.FlowGraph:
     return flow.build_graph()
@@ -255,6 +286,17 @@ class TestRealGraph:
         ))
         assert "repro.verify.tracelint.lint_trace" in callees
         assert "repro.isa.serialize.load_trace" in callees
+
+    def test_trace_task_reaches_every_kernel_execute(self, repo_graph):
+        from repro.kernels.registry import WORKLOAD_NAMES, create_kernel
+
+        reached = flow.reachable(
+            repo_graph, ["repro.runtime.tasks.execute_trace"]
+        )
+        for name in WORKLOAD_NAMES:
+            kernel = type(create_kernel(name))
+            execute = f"{kernel.__module__}.{kernel.__qualname__}.execute"
+            assert execute in reached, name
 
     def test_repo_is_flow_clean(self, repo_graph):
         assert flow.lint_flow(graph=repo_graph) == []

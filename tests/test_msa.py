@@ -1,6 +1,10 @@
 """Tests for the star MSA extension (paper future work)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,8 @@ from repro.align.msa import MultipleAlignment, star_msa
 from repro.align.needleman_wunsch import nw_score
 from repro.bio.sequence import Sequence
 from repro.bio.synthetic import MutationModel, random_protein
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 proteins = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=2, max_size=25)
 
@@ -77,6 +83,27 @@ class TestMultipleAlignmentType:
         msa = MultipleAlignment(("a", "b"), ("AC-", "A-D"), 0)
         assert msa.column(0) == "AA"
         assert msa.column(1) == "C-"
+
+    def test_consensus_ties_do_not_depend_on_hash_seed(self):
+        """Every column ties 2:2; the answer must be the same per process."""
+        script = (
+            "from repro.align.msa import MultipleAlignment\n"
+            "rows = ('ACDE', 'GHDE', 'ACKL', 'GHKL')\n"
+            "print(MultipleAlignment(tuple('abcd'), rows, 0).consensus())\n"
+        )
+        answers = set()
+        for seed in range(1, 9):
+            environment = dict(
+                os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC)
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=environment,
+                check=True, timeout=60,
+            )
+            answers.add(completed.stdout.strip())
+        # Ties go to the earliest row's residue.
+        assert answers == {"ACDE"}
 
     def test_pretty_contains_ids(self):
         msa = MultipleAlignment(("seq1", "seq2"), ("ACD", "ACD"), 0)

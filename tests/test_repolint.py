@@ -1,10 +1,10 @@
 """RepoLint: rule units on synthetic sources, suppression, repo gate.
 
-The final class is the tier-1 gate the ISSUE requires: the shipped
-package must be clean under every REP rule, so any regression (a new
-wall-clock read in library code, a column mutation outside repro.isa, a
-config knob missing from the cache key, a serialization edit without a
-version bump, a swallowed except in the runtime) fails the suite.
+``TestRepoGate`` is the tier-1 gate: the shipped package must be clean
+under every REP rule, so any regression (a new wall-clock read in
+library code, a column mutation outside repro.isa, a serialization edit
+without a version bump, a swallowed except in the runtime) fails the
+suite.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import textwrap
 from repro.verify import lint_paths, lint_source
 from repro.verify.repolint import (
     MANIFEST_PATH,
-    config_key_coverage,
     serialization_fingerprint,
     write_manifest,
 )
 
 LIB = "repro/analysis/synthetic_module.py"
 RUNTIME = "repro/runtime/synthetic_module.py"
-SERVE = "repro/serve/synthetic_module.py"
 
 
 def rules_of(violations) -> list[str]:
@@ -230,37 +228,6 @@ class TestSuppression:
         assert rules_of(violations) == ["REP001", "REP002"]
 
 
-class TestRep003Coverage:
-    def test_uncovered_field_reported_with_line(self):
-        config_source = textwrap.dedent(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class FooConfig:
-                width: int
-                depth: int
-            """
-        )
-        keys_source = textwrap.dedent(
-            """
-            def config_key(config):
-                return ("w", config.width)
-            """
-        )
-        coverage = config_key_coverage(config_source, keys_source)
-        assert list(coverage) == ["FooConfig"]
-        [(field, line)] = coverage["FooConfig"]
-        assert field == "depth"
-        assert config_source.splitlines()[line - 1].strip() == "depth: int"
-
-    def test_fully_read_dataclass_is_clean(self):
-        config_source = "from dataclasses import dataclass\n" \
-            "@dataclass\nclass Foo:\n    width: int\n"
-        keys_source = "def config_key(c):\n    return (c.width,)\n"
-        assert config_key_coverage(config_source, keys_source) == {}
-
-
 class TestRep004Manifest:
     def test_fingerprint_is_deterministic(self):
         assert serialization_fingerprint() == serialization_fingerprint()
@@ -303,69 +270,44 @@ class TestRep004Manifest:
 
 
 class TestRep006BlockingCalls:
-    def test_time_sleep_in_coroutine_flagged(self):
-        violations = lint(
+    """Blocking calls in serve coroutines, now checked by FL004.
+
+    The per-file REP006 rule is gone; the flow engine's FL004 owns the
+    hazard.  These cases lint a one-file package under ``repro/serve``.
+    """
+
+    @staticmethod
+    def flow_lint(tmp_path, source: str):
+        from repro.verify import flow
+
+        module = tmp_path / "repro" / "serve" / "synthetic_module.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(textwrap.dedent(source))
+        graph = flow.build_graph(tmp_path / "repro", spec=flow.TaintSpec())
+        return flow.lint_flow(graph=graph, honor_suppressions=False)
+
+    def test_time_sleep_in_coroutine_flagged(self, tmp_path):
+        violations = self.flow_lint(
+            tmp_path,
             """
             import time
 
             async def handle():
                 time.sleep(0.1)
             """,
-            SERVE,
         )
-        assert rules_of(violations) == ["REP006"]
+        assert rules_of(violations) == ["FL004"]
         assert "asyncio.sleep" in violations[0].message
 
-    def test_untimed_sync_get_in_coroutine_flagged(self):
-        violations = lint(
-            """
-            async def pump(results):
-                return results.get()
-            """,
-            SERVE,
-        )
-        assert rules_of(violations) == ["REP006"]
-        assert "timeout" in violations[0].message
-
-    def test_awaited_get_and_timed_get_are_legal(self):
-        violations = lint(
-            """
-            async def pump(queue, results, data):
-                item = await queue.get()
-                safe = results.get(timeout=1.0)
-                keyed = data.get("op", "search")
-                return item, safe, keyed
-            """,
-            SERVE,
-        )
-        assert violations == []
-
-    def test_sync_functions_and_other_layers_exempt(self):
-        source = """
-            import time
-
-            def warmup(results):
-                time.sleep(0.1)
-                return results.get()
-        """
-        assert lint(source, SERVE) == []
-        async_source = """
-            import time
-
-            async def handle():
-                time.sleep(0.1)
-        """
-        assert lint(async_source, RUNTIME) == []
-
-    def test_asyncio_sleep_is_legal(self):
-        violations = lint(
+    def test_asyncio_sleep_is_legal(self, tmp_path):
+        violations = self.flow_lint(
+            tmp_path,
             """
             import asyncio
 
             async def pace():
                 await asyncio.sleep(0.1)
             """,
-            SERVE,
         )
         assert violations == []
 
@@ -643,13 +585,10 @@ class TestRepoGate:
 
 
 class TestRep006FlowRouting:
-    """Satellite: REP006 re-routed through the flow engine's call graph.
+    """A ``time.sleep`` one synchronous helper below a serve coroutine.
 
-    The classic direct-body check cannot see a ``time.sleep`` hidden
-    one synchronous helper below a serve coroutine; the flow-routed
-    REP006 (``repro.verify.flow.rep006_violations``) can, while the
-    per-file check remains the fallback when flow analysis is
-    unavailable.
+    A direct-body check cannot see it; the flow engine's FL004 can, in
+    both serving layers (the single server and the cluster router).
     """
 
     def test_blocking_call_one_helper_deep(self):
@@ -661,25 +600,15 @@ class TestRep006FlowRouting:
             Path(__file__).parent / "flow_fixtures" / "fl004" / "repro"
         )
         graph = flow.build_graph(fixture, spec=flow.TaintSpec())
-        findings = flow.rep006_violations(graph)
-        assert rules_of(findings) == ["REP006", "REP006"]
-        # Both serving layers are covered: the single server and the
-        # cluster router tier.
+        findings = [
+            f for f in flow.lint_flow(graph=graph)
+            if "time.sleep" in f.message
+        ]
+        assert rules_of(findings) == ["FL004", "FL004"]
         assert {f.path for f in findings} == {
             "repro/cluster/backoff.py", "repro/serve/sync_ops.py"
         }
-        assert all("time.sleep" in f.message for f in findings)
-
-    def test_flow_errors_degrade_to_fallback(self, monkeypatch):
-        from repro.verify import flow, repolint
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("scan failed")
-
-        monkeypatch.setattr(flow, "rep006_violations", boom)
-        assert repolint._flow_rep006() is None
-        # The full-package run still completes (per-file fallback).
-        assert repolint.lint_paths() == []
+        assert all(len(f.chain) > 1 for f in findings)
 
 
 class TestSuppressionInventory:
