@@ -11,9 +11,6 @@ from repro.align.batch import (
 )
 from repro.align.blast.engine import BlastEngine, BlastOptions, blast_search
 from repro.align.fasta.engine import FastaEngine, FastaOptions, fasta_search
-from repro.align.msa import MultipleAlignment, star_msa
-from repro.align.needleman_wunsch import needleman_wunsch, nw_score
-from repro.align.report import format_alignments, format_hit_list, format_tabular
 from repro.align.statistics import (
     GumbelFit,
     empirical_lambda,
@@ -51,17 +48,10 @@ __all__ = [
     "FastaEngine",
     "FastaOptions",
     "fasta_search",
-    "MultipleAlignment",
-    "star_msa",
-    "needleman_wunsch",
-    "format_alignments",
-    "format_hit_list",
-    "format_tabular",
     "GumbelFit",
     "empirical_lambda",
     "empirical_score_survey",
     "fit_gumbel",
-    "nw_score",
     "sw_score_vmx",
     "sw_score_vmx128",
     "sw_score_vmx256",

@@ -18,11 +18,6 @@ from repro.align.blast.karlin import (
     expected_score,
     solve_lambda,
 )
-from repro.align.blast.nucleotide import (
-    BlastnEngine,
-    BlastnOptions,
-    NucleotideLookup,
-)
 from repro.align.blast.wordfinder import (
     LookupTable,
     TwoHitScanner,
@@ -43,9 +38,6 @@ __all__ = [
     "estimate_parameters",
     "expected_score",
     "solve_lambda",
-    "BlastnEngine",
-    "BlastnOptions",
-    "NucleotideLookup",
     "LookupTable",
     "TwoHitScanner",
     "WordHit",

@@ -17,12 +17,6 @@ from repro.bio.complexity import (
     masked_fraction,
     window_entropy,
 )
-from repro.bio.packed import (
-    PackedSequence,
-    pack_dna,
-    unpack_base,
-    unpack_dna,
-)
 from repro.bio.matrices import BLOSUM50, BLOSUM62, PAM250, ScoringMatrix, get_matrix
 from repro.bio.queries import (
     DEFAULT_QUERY_ACCESSION,
@@ -40,7 +34,6 @@ from repro.bio.synthetic import (
     SyntheticDatabaseConfig,
     generate_database,
     homolog_of,
-    random_dna,
     random_length,
     random_protein,
 )
@@ -63,10 +56,6 @@ __all__ = [
     "mask_sequence",
     "masked_fraction",
     "window_entropy",
-    "PackedSequence",
-    "pack_dna",
-    "unpack_base",
-    "unpack_dna",
     "BLOSUM50",
     "BLOSUM62",
     "PAM250",
@@ -86,7 +75,6 @@ __all__ = [
     "SyntheticDatabaseConfig",
     "generate_database",
     "homolog_of",
-    "random_dna",
     "random_length",
     "random_protein",
 ]

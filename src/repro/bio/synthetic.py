@@ -47,19 +47,6 @@ def random_protein(length: int, rng: random.Random) -> str:
     return "".join(rng.choices(_RESIDUES, weights=_WEIGHTS, k=length))
 
 
-def random_dna(length: int, rng: random.Random, gc_content: float = 0.42) -> str:
-    """Draw a DNA string with the given GC content (genomic default ~42%)."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if not 0.0 <= gc_content <= 1.0:
-        raise ValueError("gc_content must be a fraction")
-    at = (1.0 - gc_content) / 2.0
-    gc = gc_content / 2.0
-    return "".join(
-        rng.choices("ACGT", weights=(at, gc, gc, at), k=length)
-    )
-
-
 def random_length(rng: random.Random, mean: float = 360.0, sigma: float = 0.55,
                   minimum: int = 40, maximum: int = 2000) -> int:
     """Draw a sequence length from a clamped log-normal distribution.

@@ -2,10 +2,8 @@
 
 from repro.kernels.base import KernelRun, TracedKernel
 from repro.kernels.blast_kernel import BlastKernel
-from repro.kernels.blastn_kernel import BlastnKernel
 from repro.kernels.dp_emit import banded_dp_traced
 from repro.kernels.fasta_kernel import FastaKernel
-from repro.kernels.msa_kernel import MsaKernel
 from repro.kernels.registry import (
     KERNEL_FACTORIES,
     WORKLOAD_NAMES,
@@ -18,10 +16,8 @@ __all__ = [
     "KernelRun",
     "TracedKernel",
     "BlastKernel",
-    "BlastnKernel",
     "banded_dp_traced",
     "FastaKernel",
-    "MsaKernel",
     "KERNEL_FACTORIES",
     "WORKLOAD_NAMES",
     "create_kernel",

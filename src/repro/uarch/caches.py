@@ -72,11 +72,6 @@ class Cache:
         self.accesses = value.accesses
         self.misses = value.misses
 
-    def reset_stats(self) -> None:
-        """Zero the counters; cache contents stay warm."""
-        self.accesses = 0
-        self.misses = 0
-
     def line_of(self, address: int) -> int:
         """Line number containing ``address``."""
         return address >> self._line_shift
@@ -134,11 +129,6 @@ class Tlb:
         else:
             self.set_count = max(1, config.entries // config.associativity)
             self._sets = [[] for _ in range(self.set_count)]
-
-    def reset_stats(self) -> None:
-        """Zero the counters; translations stay warm."""
-        self.lookups = 0
-        self.misses = 0
 
     def access(self, address: int) -> bool:
         """Translate; returns True on a TLB hit.  Misses install."""
@@ -203,13 +193,6 @@ class MemoryHierarchy:
         self._seq_prefetch = config.sequential_prefetch
         self._dtlb_penalty = config.dtlb.miss_penalty
         self._itlb_penalty = config.itlb.miss_penalty
-
-    def reset_stats(self) -> None:
-        """Zero all cache and TLB counters (functional-warmup boundary)."""
-        for cache in (self.il1, self.dl1, self.l2):
-            cache.reset_stats()
-        for tlb in (self.itlb, self.dtlb):
-            tlb.reset_stats()
 
     def _lines_touched(self, cache: Cache, address: int, size: int) -> range:
         first = cache.line_of(address)

@@ -86,12 +86,10 @@ class OutOfOrderCore:
         trace: Trace,
         config: ProcessorConfig,
         track_occupancy: bool = False,
-        warmup: Trace | None = None,
     ) -> None:
         self.trace = trace
         self.config = config
         self.track_occupancy = track_occupancy
-        self.warmup = warmup
         self.hierarchy = MemoryHierarchy(config.memory)
         self.traumas = TraumaAccount()
         branch = config.branch
@@ -108,51 +106,8 @@ class OutOfOrderCore:
         self.branch_correct = 0
         self._plane = None
 
-    # ------------------------------------------------------------------
-    def _functional_warmup(self) -> None:
-        """Replay a warmup trace through the long-lived structures.
-
-        Caches, TLBs, the direction predictor, and the BTB see the
-        warmup stream (SMARTS-style functional warming); statistics are
-        reset afterwards so results reflect only the measured trace.
-        """
-        warm = decode_trace(self.warmup)
-        hierarchy = self.hierarchy
-        access_inst = hierarchy.access_inst
-        access_data = hierarchy.access_data
-        predictor = self.predictor
-        btb_install = self.btb.install
-        perfect_bp = self.perfect_bp
-        lines = warm.line
-        pcs = warm.pc
-        addresses = warm.address
-        sizes = warm.size
-        takens = warm.taken
-        targets = warm.target
-        is_memory = warm.is_memory
-        is_branch = warm.is_branch
-        last_line = -1
-        for index in range(warm.n):
-            line = lines[index]
-            if line != last_line:
-                access_inst(pcs[index])
-                last_line = line
-            if is_memory[index]:
-                access_data(addresses[index], sizes[index])
-            elif is_branch[index]:
-                if not perfect_bp:
-                    predictor.update(pcs[index], takens[index])
-                if takens[index]:
-                    btb_install(pcs[index], targets[index])
-        # Reset statistics; state stays warm.
-        hierarchy.reset_stats()
-        self.btb.lookups = 0
-        self.btb.misses = 0
-
     def run(self, max_cycles: int | None = None) -> SimulationResult:
         """Simulate to completion; returns the aggregated result."""
-        if self.warmup is not None:
-            self._functional_warmup()
         plane = decode_trace(self.trace)
         self._plane = plane
         n = plane.n

@@ -17,19 +17,14 @@ def simulate(
     config: ProcessorConfig,
     track_occupancy: bool = False,
     max_cycles: int | None = None,
-    warmup: Trace | None = None,
 ) -> SimulationResult:
     """Run ``trace`` through one processor configuration.
 
     ``track_occupancy`` additionally records per-cycle issue-queue,
     in-flight, and reorder-queue occupancy histograms (Fig. 10) at some
     simulation-speed cost.  ``max_cycles`` guards against runaway
-    simulations in tests.  ``warmup`` functionally warms the caches,
-    TLBs, and predictors with another trace before timing begins
-    (used by window sampling).
+    simulations in tests.
     """
-    core = OutOfOrderCore(
-        trace, config, track_occupancy=track_occupancy, warmup=warmup
-    )
+    core = OutOfOrderCore(trace, config, track_occupancy=track_occupancy)
     return core.run(max_cycles=max_cycles)
 

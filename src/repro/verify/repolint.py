@@ -10,7 +10,8 @@ real one):
 REP001   nondeterminism in library code: wall-clock reads, unseeded
          RNG, global NumPy random state (outside the CLI/bench tools)
 REP002   direct mutation of trace columns or the decode plane outside
-         their owning modules (use copy APIs like ``extract_window``)
+         their owning modules (derive a new trace instead:
+         ``Trace.slice``, or ``Trace(name, columns=...)`` over copies)
 REP004   digest-relevant serialization code changed without bumping
          ``CACHE_SCHEMA_VERSION`` (tracked via a pinned manifest)
 REP005   bare ``except`` or silently swallowed broad ``except`` in the
@@ -404,8 +405,9 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
                     findings.append((
                         node.lineno,
                         "writes into trace columns; columns are "
-                        "immutable outside repro.isa — copy via "
-                        "extract_window-style APIs",
+                        "immutable outside repro.isa — derive a new "
+                        "Trace (Trace.slice, or Trace(name, "
+                        "columns=...) over copied columns)",
                     ))
                 elif (
                     isinstance(element, ast.Attribute)

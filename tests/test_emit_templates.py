@@ -4,7 +4,7 @@ The block-templated fast path (``TraceBuilder.stamp``) promises
 *byte-identical* traces to per-call scalar emission.  This module holds
 that promise to account two ways:
 
-* every golden kernel (plus blastn) is run under both ``emit_mode``
+* every golden kernel is run under both ``emit_mode``
   settings and the content digests, instruction counts, scores, and
   truncation behaviour must match exactly;
 * randomized templates are stamped through the vectorized
@@ -15,15 +15,9 @@ that promise to account two ways:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bio.alphabet import DNA
-from repro.bio.database import SequenceDatabase
-from repro.bio.sequence import Sequence
-from repro.bio.synthetic import random_dna
 from repro.isa.builder import EMIT_MODES, TraceBuilder
 from repro.isa.emit import (
     INTERPRET_BELOW,
@@ -35,7 +29,6 @@ from repro.isa.emit import (
     SlotSpec,
 )
 from repro.isa.opcodes import OpClass
-from repro.kernels.blastn_kernel import BlastnKernel
 from repro.kernels.registry import WORKLOAD_NAMES, create_kernel
 from repro.runtime.keys import compute_trace_digest
 from repro.verify.tracelint import lint_trace
@@ -59,22 +52,6 @@ def mode_runs(query, tiny_database):
     }
 
 
-@pytest.fixture(scope="module")
-def dna_workload():
-    rng = random.Random(8)
-    query_text = random_dna(80, rng)
-    subjects = []
-    for index in range(8):
-        text = random_dna(300, rng)
-        if index % 3 == 0:
-            text = text[:80] + query_text[10:60] + text[130:]
-        subjects.append(Sequence(f"S{index}", text, alphabet=DNA))
-    return (
-        Sequence("q", query_text, alphabet=DNA),
-        SequenceDatabase(subjects, alphabet=DNA, name="dna-db"),
-    )
-
-
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name", GOLDEN)
     def test_digests_byte_identical(self, mode_runs, name):
@@ -94,16 +71,6 @@ class TestGoldenEquivalence:
         assert templated.instruction_count == scalar.instruction_count
         assert templated.scores == scalar.scores
         assert templated.truncated == scalar.truncated
-
-    def test_blastn_digests_byte_identical(self, dna_workload):
-        query, database = dna_workload
-        runs = {
-            mode: BlastnKernel().run(query, database, emit_mode=mode)
-            for mode in EMIT_MODES
-        }
-        assert compute_trace_digest(runs["templated"].trace) == \
-            compute_trace_digest(runs["scalar"].trace)
-        assert runs["templated"].scores == runs["scalar"].scores
 
     @pytest.mark.parametrize("name", GOLDEN)
     def test_budget_truncation_identical(self, query, tiny_database, name):
