@@ -519,7 +519,7 @@ def _lint_code_command(arguments: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint-code",
         description="Repo-specific AST lint (REP001, REP002, REP004, "
-        "REP005, REP007-REP009; see docs/verify.md) over src/repro.",
+        "REP005, REP008, REP009; see docs/verify.md) over src/repro.",
     )
     parser.add_argument(
         "paths", nargs="*",

@@ -3,7 +3,10 @@
 Most figures sweep one knob while holding everything else fixed, so the
 same (trace, configuration) pair shows up across experiments.  The
 context memoizes simulation results by a structural key, letting the
-whole benchmark suite share work within a process.
+whole benchmark suite share work within a process.  The key is the
+trace's content digest, so two traces with equal content share one
+entry and a trace built after another was freed never inherits its
+results.
 
 A context may additionally carry an
 :class:`~repro.runtime.engine.ExperimentRuntime`, which layers a
@@ -22,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.isa.trace import Trace
 from repro.runtime.keys import config_key as _config_key
+from repro.runtime.keys import trace_digest
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.results import SimulationResult
 from repro.uarch.simulator import simulate
@@ -49,7 +53,7 @@ class ExperimentContext:
     def _memo_key(
         self, trace: Trace, config: ProcessorConfig, track_occupancy: bool
     ) -> tuple:
-        return (id(trace), len(trace), _config_key(config), track_occupancy)
+        return (trace_digest(trace), _config_key(config), track_occupancy)
 
     def simulate_trace(
         self,
@@ -57,7 +61,7 @@ class ExperimentContext:
         config: ProcessorConfig,
         track_occupancy: bool = False,
     ) -> SimulationResult:
-        """Simulate (memoized on trace identity + structural config key)."""
+        """Simulate (memoized on trace content + structural config key)."""
         key = self._memo_key(trace, config, track_occupancy)
         result = self._results.get(key)
         if result is None:
@@ -72,25 +76,15 @@ class ExperimentContext:
             self._results[key] = result
         return result
 
-    def simulate_app(
-        self,
-        name: str,
-        config: ProcessorConfig,
-        track_occupancy: bool = False,
-    ) -> SimulationResult:
-        """Simulate one Table I workload's standard trace."""
-        return self.simulate_trace(
-            self.suite.trace(name), config, track_occupancy=track_occupancy
-        )
-
     def simulate_many(self, requests: Iterable[tuple]) -> list[SimulationResult]:
         """Resolve a batch of (trace, config[, track_occupancy]) requests.
 
-        With a parallel runtime the memo misses fan out over the worker
-        pool; without one they run serially.  Either way every result
-        lands in the memo, so re-requesting any pair afterwards (the
-        pattern in the analysis sweeps: prefetch the batch, then loop)
-        is free and yields values identical to the serial path.
+        Results come back in request order, and each analysis driver
+        reads them from this one list.  With a parallel runtime the
+        memo misses fan out over the worker pool; without one they run
+        serially, with identical values.  Every result also lands in
+        the memo, so experiments that share points (Figs 3 and 4)
+        simulate them once per context.
         """
         normalized = [
             (request[0], request[1],

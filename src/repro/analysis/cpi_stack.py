@@ -95,11 +95,13 @@ def cpi_stacks(
 ) -> list[CpiStack]:
     """CPI stacks for the whole suite on one configuration."""
     config = config or PROC_4WAY.with_memory(ME1)
-    stacks = []
-    for name in context.suite.names:
-        result = context.simulate_app(name, config)
-        stacks.append(cpi_stack_from_result(name, result))
-    return stacks
+    results = context.simulate_many([
+        (context.suite.trace(name), config) for name in context.suite.names
+    ])
+    return [
+        cpi_stack_from_result(name, result)
+        for name, result in zip(context.suite.names, results)
+    ]
 
 
 def cpi_stack_report(stacks: list[CpiStack]) -> str:

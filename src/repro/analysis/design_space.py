@@ -8,9 +8,8 @@ applications respond — vector-integer units for the SIMD codes, fixed
 point units for the heuristics, load/store units for everyone.
 
 The unit axis here maps to ``replace()`` surgery on the config rather
-than a sweepable preset, so the grid loop stays inline (with
-``repolint: disable=REP007`` markers) instead of moving to a
-``repro.sweep`` spec.
+than a sweepable preset, so it is a one-pass request list, not a
+``repro.sweep`` axis.
 """
 
 from __future__ import annotations
@@ -58,22 +57,16 @@ def unit_scaling_study(
     """Scale one unit pool on the 4-way/me1 baseline."""
     apps = apps or context.suite.names
     context.prefetch_workloads(tuple(apps))
-    context.simulate_many([  # repolint: disable=REP007
-        (context.suite.trace(name),
-         with_unit_count(PROC_4WAY.with_memory(ME1), unit, count))
+    base = PROC_4WAY.with_memory(ME1)
+    keys = [(name, count) for name in apps for count in counts]
+    results = dict(zip(keys, context.simulate_many([
+        (context.suite.trace(name), with_unit_count(base, unit, count))
+        for name, count in keys
+    ])))
+    ipc = {
+        name: [results[(name, count)].ipc for count in counts]
         for name in apps
-        for count in counts
-    ])
-    ipc: dict[str, list[float]] = {}
-    for name in apps:
-        trace = context.suite.trace(name)
-        values = []
-        for count in counts:
-            config = with_unit_count(
-                PROC_4WAY.with_memory(ME1), unit, count
-            )
-            values.append(context.simulate_trace(trace, config).ipc)  # repolint: disable=REP007
-        ipc[name] = values
+    }
     return UnitScalingResult(unit=unit, counts=counts, ipc=ipc)
 
 

@@ -33,14 +33,12 @@ def fig10_queue_occupancy(
     """Record per-cycle occupancy on the 4-way / me1 configuration."""
     config = PROC_4WAY.with_memory(ME1)
     context.prefetch_workloads(tuple(apps))
-    context.simulate_many([
+    results = context.simulate_many([
         (context.suite.trace(name), config, True) for name in apps
     ])
-    histograms = {}
-    for name in apps:
-        result = context.simulate_app(name, config, track_occupancy=True)
-        histograms[name] = result.queue_occupancy
-    return OccupancyResult(histograms=histograms)
+    return OccupancyResult(histograms={
+        name: result.queue_occupancy for name, result in zip(apps, results)
+    })
 
 
 def fig10_report(result: OccupancyResult) -> str:

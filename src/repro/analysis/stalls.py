@@ -35,16 +35,13 @@ def fig2_stalls(context: ExperimentContext) -> StallResult:
     """Run the Fig. 2 configuration (4-way, me1, real predictor)."""
     config = PROC_4WAY.with_memory(ME1)
     context.prefetch_workloads()
-    context.simulate_many([
+    results = dict(zip(context.suite.names, context.simulate_many([
         (context.suite.trace(name), config) for name in context.suite.names
-    ])
-    histograms = {}
-    cycles = {}
-    for name in context.suite.names:
-        result = context.simulate_app(name, config)
-        histograms[name] = result.traumas
-        cycles[name] = result.cycles
-    return StallResult(histograms=histograms, cycles=cycles)
+    ])))
+    return StallResult(
+        histograms={name: result.traumas for name, result in results.items()},
+        cycles={name: result.cycles for name, result in results.items()},
+    )
 
 
 def fig2_report(result: StallResult) -> str:

@@ -4,12 +4,12 @@ Every sweep varies exactly the knob its figure varies and holds
 everything else at the paper's baseline, reusing the per-application
 standard traces through the context's simulation cache.
 
-These hand-rolled grid loops are the *oracles* the declarative
-``repro.sweep`` subsystem is validated against (its per-point results
-must match these byte-for-byte through the shared cache), so they keep
-their inline loops deliberately — hence the per-line
-``repolint: disable=REP007`` markers.  New grid studies should be
-``examples/sweeps/`` specs instead.
+Figs 3-7 and 9 declare their grids as axis mappings and expand them
+through the ``repro.sweep`` planner, the same code that expands the
+committed ``examples/sweeps/`` specs, so a figure point and the
+matching sweep point share one configuration and one cache entry.
+Fig. 8 compares traces over a shared database slice, which no sweep
+axis expresses, so it builds its three configurations per width here.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.context import ExperimentContext
 from repro.analysis.reporting import render_series
+from repro.sweep.plan import expand_spec
+from repro.sweep.spec import parse_spec
 from repro.uarch.config import (
-    BP_PERFECT,
     KB,
     ME1,
     MEMORY_PRESETS,
@@ -28,8 +29,8 @@ from repro.uarch.config import (
     PROC_4WAY,
     PROC_8WAY,
     ProcessorConfig,
-    memory_with_dl1,
 )
+from repro.uarch.results import SimulationResult
 from repro.uarch.standalone import run_cache_only_batch
 
 WIDTHS: tuple[ProcessorConfig, ...] = (PROC_4WAY, PROC_8WAY, PROC_16WAY)
@@ -44,6 +45,62 @@ FIG7_LATENCIES: tuple[int, ...] = (1, 2, 4, 6, 8, 10)
 FIG8_WIDTHS: tuple[ProcessorConfig, ...] = (
     PROC_4WAY, PROC_8WAY, PROC_12WAY, PROC_16WAY
 )
+
+
+def _resolve_grid(
+    context: ExperimentContext,
+    name: str,
+    axes: dict[str, list | tuple],
+    simulate: bool = True,
+) -> dict[tuple, tuple[ProcessorConfig, SimulationResult | None]]:
+    """Expand one figure's axes over the suite and resolve every point.
+
+    Returns ``(workload, *coords) -> (config, result)``.  The axes pass
+    through SweepLint exactly as a spec file's would.  With
+    ``simulate=False`` every result is None.
+    """
+    spec = parse_spec({
+        "sweep": {"name": name},
+        "axes": axes,
+        "workloads": {"names": list(context.suite.names)},
+    }, source=f"<{name}>")
+    points = expand_spec(spec)
+    context.prefetch_workloads()
+    results: list[SimulationResult | None] = [None] * len(points)
+    if simulate:
+        results = context.simulate_many([
+            (context.suite.trace(point.workload), point.config)
+            for point in points
+        ])
+    return {
+        (point.workload, *(value for _, value in point.coords)):
+            (point.config, result)
+        for point, result in zip(points, results)
+    }
+
+
+def _dl1_sweep(
+    context: ExperimentContext,
+    name: str,
+    axis: str,
+    values: list[int],
+    with_ipc: bool,
+) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """DL1 miss rate and IPC per workload over one DL1 axis (Figs 5, 6)."""
+    grid = _resolve_grid(context, name, {axis: values}, simulate=with_ipc)
+    miss_rate: dict[str, list[float]] = {}
+    ipc: dict[str, list[float]] = {}
+    for workload in context.suite.names:
+        cells = [grid[(workload, value)] for value in values]
+        cache_results = run_cache_only_batch(
+            context.suite.trace(workload),
+            [config.memory for config, _ in cells],
+        )
+        miss_rate[workload] = [dl1.miss_rate for dl1, _ in cache_results]
+        ipc[workload] = (
+            [result.ipc for _, result in cells] if with_ipc else []
+        )
+    return miss_rate, ipc
 
 
 @dataclass(frozen=True)
@@ -66,27 +123,16 @@ class MemorySweepResult:
 
 def fig3_fig4_memory_sweep(context: ExperimentContext) -> MemorySweepResult:
     """Width x memory sweep shared by Figures 3 and 4."""
-    context.prefetch_workloads()
-    context.simulate_many([  # repolint: disable=REP007
-        (context.suite.trace(name), width.with_memory(memory))
-        for name in context.suite.names
-        for width in WIDTHS
-        for memory in MEMORY_PRESETS
-    ])
-    cycles: dict[tuple[str, str, str], int] = {}
-    ipc: dict[tuple[str, str, str], float] = {}
-    for name in context.suite.names:
-        for width in WIDTHS:
-            for memory in MEMORY_PRESETS:
-                result = context.simulate_app(name, width.with_memory(memory))  # repolint: disable=REP007
-                key = (name, width.name, memory.name)
-                cycles[key] = result.cycles
-                ipc[key] = result.ipc
+    widths = tuple(width.name for width in WIDTHS)
+    memories = tuple(memory.name for memory in MEMORY_PRESETS)
+    grid = _resolve_grid(
+        context, "fig3-fig4", {"width": widths, "memory": memories}
+    )
     return MemorySweepResult(
-        cycles=cycles,
-        ipc=ipc,
-        widths=tuple(width.name for width in WIDTHS),
-        memories=tuple(memory.name for memory in MEMORY_PRESETS),
+        cycles={key: result.cycles for key, (_, result) in grid.items()},
+        ipc={key: result.ipc for key, (_, result) in grid.items()},
+        widths=widths,
+        memories=memories,
     )
 
 
@@ -140,30 +186,10 @@ def fig5_cache_size(
     Miss rates replay only the reference stream (fast); IPC uses the
     full pipeline and can be disabled for quick looks.
     """
-    context.prefetch_workloads()
-    if with_ipc:
-        context.simulate_many([  # repolint: disable=REP007
-            (context.suite.trace(name),
-             PROC_4WAY.with_memory(memory_with_dl1(size)))
-            for name in context.suite.names
-            for size in sizes
-        ])
-    miss_rate: dict[str, list[float]] = {}
-    ipc: dict[str, list[float]] = {}
-    for name in context.suite.names:
-        trace = context.suite.trace(name)
-        memories = [memory_with_dl1(size) for size in sizes]
-        cache_results = run_cache_only_batch(trace, memories)
-        rates = [dl1.miss_rate for dl1, _ in cache_results]
-        ipcs = []
-        if with_ipc:
-            for memory in memories:
-                result = context.simulate_trace(  # repolint: disable=REP007
-                    trace, PROC_4WAY.with_memory(memory)
-                )
-                ipcs.append(result.ipc)
-        miss_rate[name] = rates
-        ipc[name] = ipcs
+    miss_rate, ipc = _dl1_sweep(
+        context, "fig5", "dl1_size_kb", [size // KB for size in sizes],
+        with_ipc,
+    )
     return CacheSizeResult(sizes=sizes, miss_rate=miss_rate, ipc=ipc)
 
 
@@ -206,35 +232,9 @@ def fig6_associativity(
     with_ipc: bool = True,
 ) -> AssociativityResult:
     """Sweep DL1 associativity at 32K."""
-    context.prefetch_workloads()
-    if with_ipc:
-        context.simulate_many([  # repolint: disable=REP007
-            (context.suite.trace(name),
-             PROC_4WAY.with_memory(
-                 memory_with_dl1(32 * KB, associativity=associativity)
-             ))
-            for name in context.suite.names
-            for associativity in associativities
-        ])
-    miss_rate: dict[str, list[float]] = {}
-    ipc: dict[str, list[float]] = {}
-    for name in context.suite.names:
-        trace = context.suite.trace(name)
-        memories = [
-            memory_with_dl1(32 * KB, associativity=associativity)
-            for associativity in associativities
-        ]
-        cache_results = run_cache_only_batch(trace, memories)
-        rates = [dl1.miss_rate for dl1, _ in cache_results]
-        ipcs = []
-        if with_ipc:
-            for memory in memories:
-                result = context.simulate_trace(  # repolint: disable=REP007
-                    trace, PROC_4WAY.with_memory(memory)
-                )
-                ipcs.append(result.ipc)
-        miss_rate[name] = rates
-        ipc[name] = ipcs
+    miss_rate, ipc = _dl1_sweep(
+        context, "fig6", "dl1_assoc", list(associativities), with_ipc
+    )
     return AssociativityResult(
         associativities=associativities, miss_rate=miss_rate, ipc=ipc
     )
@@ -279,24 +279,13 @@ def fig7_l1_latency(
     latencies: tuple[int, ...] = FIG7_LATENCIES,
 ) -> LatencyResult:
     """Sweep L1 hit latency (32K/32K/1M, 4-way)."""
-    context.prefetch_workloads()
-    context.simulate_many([  # repolint: disable=REP007
-        (context.suite.trace(name),
-         PROC_4WAY.with_memory(
-             memory_with_dl1(32 * KB, latency=latency, l2_mb=1)
-         ))
+    grid = _resolve_grid(
+        context, "fig7", {"dl1_latency": list(latencies), "l2_mb": [1]}
+    )
+    ipc = {
+        name: [grid[(name, latency, 1)][1].ipc for latency in latencies]
         for name in context.suite.names
-        for latency in latencies
-    ])
-    ipc: dict[str, list[float]] = {}
-    for name in context.suite.names:
-        trace = context.suite.trace(name)
-        values = []
-        for latency in latencies:
-            memory = memory_with_dl1(32 * KB, latency=latency, l2_mb=1)
-            result = context.simulate_trace(trace, PROC_4WAY.with_memory(memory))  # repolint: disable=REP007
-            values.append(result.ipc)
-        ipc[name] = values
+    }
     return LatencyResult(latencies=latencies, ipc=ipc)
 
 
@@ -334,20 +323,16 @@ def fig8_vmx_speedup(context: ExperimentContext) -> VmxSpeedupResult:
         requests.append(
             (traces["sw_vmx256"], replace(config, wide_load_extra_latency=1))
         )
-    context.simulate_many(requests)
+    results = context.simulate_many(requests)
     speedup: dict[str, list[float]] = {
         "sw_vmx128": [],
         "sw_vmx256": [],
         "sw_vmx256+1lat": [],
     }
-    for width in FIG8_WIDTHS:
-        config = width.with_memory(ME1)
-        base = context.simulate_trace(traces["sw_vmx128"], config).cycles
-        v256 = context.simulate_trace(traces["sw_vmx256"], config).cycles
-        handicapped_config = replace(config, wide_load_extra_latency=1)
-        v256_slow = context.simulate_trace(
-            traces["sw_vmx256"], handicapped_config
-        ).cycles
+    for index in range(0, len(results), 3):
+        base, v256, v256_slow = (
+            result.cycles for result in results[index:index + 3]
+        )
         speedup["sw_vmx128"].append(1.0)
         speedup["sw_vmx256"].append(base / v256 if v256 else 0.0)
         speedup["sw_vmx256+1lat"].append(base / v256_slow if v256_slow else 0.0)
@@ -383,36 +368,19 @@ class BranchImpactResult:
 
 def fig9_branch_prediction(context: ExperimentContext) -> BranchImpactResult:
     """Perfect-vs-real predictor sweep over widths (me1 memory)."""
-    context.prefetch_workloads()
-    context.simulate_many([  # repolint: disable=REP007
-        (context.suite.trace(name), config)
-        for name in context.suite.names
-        for width in WIDTHS
-        for config in (
-            width.with_memory(ME1),
-            width.with_memory(ME1).with_branch(BP_PERFECT),
-        )
-    ])
-    real: dict[str, list[float]] = {}
-    perfect: dict[str, list[float]] = {}
-    for name in context.suite.names:
-        trace = context.suite.trace(name)
-        real_values = []
-        perfect_values = []
-        for width in WIDTHS:
-            config = width.with_memory(ME1)
-            real_values.append(context.simulate_trace(trace, config).ipc)  # repolint: disable=REP007
-            perfect_values.append(
-                context.simulate_trace(  # repolint: disable=REP007
-                    trace, config.with_branch(BP_PERFECT)
-                ).ipc
-            )
-        real[name] = real_values
-        perfect[name] = perfect_values
+    widths = tuple(width.name for width in WIDTHS)
+    grid = _resolve_grid(
+        context, "fig9", {"width": widths, "predictor": ["real", "perfect"]}
+    )
+
+    def ipc(predictor: str) -> dict[str, list[float]]:
+        return {
+            name: [grid[(name, width, predictor)][1].ipc for width in widths]
+            for name in context.suite.names
+        }
+
     return BranchImpactResult(
-        widths=tuple(width.name for width in WIDTHS),
-        real=real,
-        perfect=perfect,
+        widths=widths, real=ipc("real"), perfect=ipc("perfect")
     )
 
 

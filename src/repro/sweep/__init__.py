@@ -10,9 +10,9 @@ workloads.  This package turns those grids into *data*:
   :mod:`repro.verify.sweeplint` at load time;
 * :mod:`repro.sweep.plan` — expands the grid into deterministic
   :class:`~repro.sweep.plan.SweepPoint`\\ s, each carrying the exact
-  :class:`~repro.uarch.config.ProcessorConfig` the ad-hoc figure
-  drivers would have built (so cached results are shared byte-for-byte
-  with ``repro fig3`` and friends);
+  :class:`~repro.uarch.config.ProcessorConfig`; the Fig. 3-7 and 9
+  drivers expand their grids through it too, so a sweep point and the
+  matching figure point share one cache entry;
 * :mod:`repro.sweep.manifest` — a persistent, atomically updated
   manifest of completed points, keyed by the same content-addressed
   simulate digests the runtime cache uses;

@@ -1,9 +1,9 @@
 """Grid expansion: spec -> deterministic sweep points.
 
-Each :class:`SweepPoint` carries the exact
-:class:`~repro.uarch.config.ProcessorConfig` the corresponding ad-hoc
-figure driver would construct — same preset objects, same
-``memory_with_dl1`` defaults — so a sweep point's simulate digest
+This is the one place that turns axis values into
+:class:`~repro.uarch.config.ProcessorConfig`\\ s: the Fig. 3-7 and 9
+drivers in :mod:`repro.analysis.sweeps` expand their grids here too.
+So a sweep point's simulate digest
 (:func:`repro.runtime.keys.simulate_key`) is *identical* to the one a
 ``repro fig3``/``fig5``/``fig9`` run produces, and the two share cache
 entries byte-for-byte.
@@ -58,8 +58,7 @@ PREDICTOR_PRESETS: dict[str, BranchPredictorConfig] = {
 }
 
 #: Defaults for the parametric cache axes — the exact keyword defaults
-#: of :func:`repro.uarch.config.memory_with_dl1`, which is what the
-#: Fig. 5/6/7 drivers rely on.
+#: of :func:`repro.uarch.config.memory_with_dl1` (the Fig. 5-7 base).
 _PARAMETRIC_DEFAULTS: dict[str, object] = {
     "dl1_size_kb": 32,
     "dl1_assoc": 2,

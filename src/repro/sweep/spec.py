@@ -26,10 +26,11 @@ Axes come in two families:
   (``dl1_size_kb``, ``dl1_assoc``, ``dl1_latency``, ``l2_mb``), with
   ``"inf"`` meaning an ideal (always-hitting) level.
 
-An axis with a single value pins that knob; omitted axes take the same
-defaults the ad-hoc figure drivers use, so a spec grid point resolves
-to the *identical* :class:`~repro.uarch.config.ProcessorConfig` — and
-therefore the identical cache entry — as the corresponding figure.
+An axis with a single value pins that knob; omitted axes take the
+paper's baseline.  The figure drivers declare their grids through this
+same parser, so a spec grid point resolves to the *identical*
+:class:`~repro.uarch.config.ProcessorConfig` — and therefore the
+identical cache entry — as the corresponding figure point.
 
 Validation happens at parse time through
 :mod:`repro.verify.sweeplint`; a bad spec raises

@@ -67,11 +67,6 @@ class Cache:
         """Counters as a :class:`CacheStats` view."""
         return CacheStats(accesses=self.accesses, misses=self.misses)
 
-    @stats.setter
-    def stats(self, value: CacheStats) -> None:
-        self.accesses = value.accesses
-        self.misses = value.misses
-
     def line_of(self, address: int) -> int:
         """Line number containing ``address``."""
         return address >> self._line_shift

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.isa.opcodes import FunctionalUnit, OpClass
+from repro.isa.opcodes import FunctionalUnit
 from repro.isa.trace import Trace
 from repro.uarch.branch.btb import BranchTargetBuffer
 from repro.uarch.branch.predictors import CombinedPredictor, create_predictor
 from repro.uarch.caches import MemoryHierarchy
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.pipeline.decode import REGFILE_OF_OPCLASS, decode_trace
+from repro.uarch.pipeline.decode import decode_trace
 from repro.uarch.results import BranchResult, CacheResult, SimulationResult
 from repro.uarch.traumas import (
     Trauma,
@@ -51,14 +51,6 @@ from repro.uarch.traumas import (
     ful_trauma,
     rg_trauma,
 )
-
-#: Register file classes (kept for compatibility; see decode module).
-_GPR, _VPR, _FPR = 0, 1, 2
-
-#: OpClass -> register file (re-exported; the core reads the decode plane).
-_REGFILE_OF_OP: dict[OpClass, int] = {
-    op: regfile for op, regfile in REGFILE_OF_OPCLASS.items()
-}
 
 #: Unit-indexed trauma lookup tuples (FunctionalUnit values are 0..7).
 _RG_OF = tuple(rg_trauma(fu) for fu in FunctionalUnit)

@@ -8,11 +8,10 @@ Four layers:
   as ``python -m repro lint-trace`` and as ``strict=True`` hooks in
   ``load_trace`` / ``TraceBuilder.build`` / the runtime cache.
 * **RepoLint** (:mod:`repro.verify.repolint`): per-file ``ast`` passes
-  (REP001, REP002, REP004, REP005, REP007-REP009) encoding
+  (REP001, REP002, REP004, REP005, REP008, REP009) encoding
   repo-specific hazards — nondeterminism, column mutation,
-  serialization-version drift, exception hygiene, ad-hoc config-grid
-  loops that bypass ``repro.sweep``, per-cycle allocation, and ad-hoc
-  on-disk caches.  Exposed as ``python -m repro lint-code`` and as a
+  serialization-version drift, exception hygiene, per-cycle
+  allocation, and ad-hoc on-disk caches.  Exposed as ``python -m repro lint-code`` and as a
   tier-1 pytest gate.
 * **SweepLint** (:mod:`repro.verify.sweeplint`): data-level validation
   rules (SW001-SW007) for declarative sweep specs, run at spec load

@@ -16,12 +16,6 @@ REP004   digest-relevant serialization code changed without bumping
          ``CACHE_SCHEMA_VERSION`` (tracked via a pinned manifest)
 REP005   bare ``except`` or silently swallowed broad ``except`` in the
          ``repro.runtime`` workers/executors
-REP007   ad-hoc configuration-grid loops in ``repro.analysis`` drivers
-         that bypass ``repro.sweep``: a multi-axis comprehension fed to
-         ``simulate_many``, or a ``simulate_trace``/``simulate_app``
-         call nested two or more loops deep.  Hand-rolled grids get no
-         manifest, no resume, and no sweep report; the committed figure
-         oracles carry explicit per-line disables
 REP008   per-cycle Python-object allocation in ``repro.uarch`` cycle
          loops: a container literal/comprehension assigned inside a
          ``while`` loop, a dict store keyed by a cycle-counter
@@ -42,10 +36,13 @@ REP009   ad-hoc persistence outside the storage layer: a
 =======  =============================================================
 
 Rule ids are never renumbered or reused; the gaps are retired rules
-whose hazards have one check elsewhere.  Config fields missing from
-the cache key belong to FlowLint's FL002 and the mutation guards in
-:mod:`repro.verify.guards`; blocking calls in serve coroutines belong
-to FlowLint's FL004.
+whose hazards have one check elsewhere or no longer exist.  Config
+fields missing from the cache key belong to FlowLint's FL002 and the
+mutation guards in :mod:`repro.verify.guards`; blocking calls in serve
+coroutines belong to FlowLint's FL004.  The rule against hand-rolled
+configuration grids in the analysis drivers retired with the grids:
+the Fig. 3-7 and 9 grids expand through :mod:`repro.sweep.plan`
+(``docs/verify.md`` lists each retired id).
 
 Suppression: append ``# repolint: disable=REP00x`` (comma-separated for
 several rules) to the offending line, or put
@@ -71,7 +68,6 @@ RULES: dict[str, str] = {
     "REP002": "trace/decode-plane mutation outside owning modules",
     "REP004": "serialization change without a schema-version bump",
     "REP005": "bare or silently swallowed broad except in repro.runtime",
-    "REP007": "ad-hoc config-grid loop bypassing repro.sweep",
     "REP008": "per-cycle object allocation in a repro.uarch cycle loop",
     "REP009": "ad-hoc on-disk cache outside the storage layer",
 }
@@ -103,9 +99,6 @@ REP002_OWNERS = (
 #: Where REP005 applies.
 REP005_SCOPE = "runtime/"
 
-#: Where REP007 applies (the experiment-driver layer).
-REP007_SCOPE = "analysis/"
-
 #: Where REP008 applies (the simulator's cycle-loop hot paths).
 REP008_SCOPE = "uarch/"
 
@@ -122,10 +115,6 @@ REP009_WRITERS: dict[str, set[str]] = {
     "numpy": {"save", "savez", "savez_compressed"},
     "shelve": {"open"},
 }
-
-#: Simulation entry points whose appearance inside a deep loop nest
-#: marks a hand-rolled grid.
-REP007_SIM_CALLS = {"simulate_trace", "simulate_app"}
 
 #: Definitions whose source feeds the REP004 manifest digest: any
 #: edit here can change cache-entry bytes or their addresses, so it
@@ -564,70 +553,6 @@ def _rep005(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 
 
 # ----------------------------------------------------------------------
-# REP007 — ad-hoc config grids in repro.analysis
-# ----------------------------------------------------------------------
-
-def _rep007(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
-    """Flag hand-rolled configuration grids in the analysis drivers.
-
-    Two shapes mark a grid: a comprehension with two or more ``for``
-    generators fed to ``simulate_many`` (the cross-product is built
-    inline), and a ``simulate_trace``/``simulate_app`` call nested two
-    or more loops deep (the cross-product is walked by hand).  Either
-    way the grid has no manifest, no resume, and no report —
-    ``repro.sweep`` exists for exactly this; the committed figure
-    oracles that sweeps are validated *against* carry explicit
-    per-line disables.
-    """
-    if REP007_SCOPE not in relative.replace("\\", "/"):
-        return []
-    findings: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "simulate_many"
-        ):
-            for argument in node.args:
-                if isinstance(
-                    argument, (ast.ListComp, ast.GeneratorExp, ast.SetComp)
-                ) and len(argument.generators) >= 2:
-                    findings.append((
-                        node.lineno,
-                        f"{len(argument.generators)}-axis comprehension "
-                        "fed to simulate_many builds a config grid "
-                        "inline; declare it as a repro.sweep spec",
-                    ))
-                    break
-
-    def descend(node: ast.AST, depth: int) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_depth = depth
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                child_depth = depth + 1
-            elif isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                child_depth = 0
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in REP007_SIM_CALLS
-                and depth >= 2
-            ):
-                findings.append((
-                    child.lineno,
-                    f"{child.func.attr} inside a {depth}-deep loop nest "
-                    "walks a config grid by hand; declare it as a "
-                    "repro.sweep spec",
-                ))
-            descend(child, child_depth)
-
-    descend(tree, 0)
-    return sorted(set(findings))
-
-
-# ----------------------------------------------------------------------
 # REP008 — per-cycle allocation in repro.uarch cycle loops
 # ----------------------------------------------------------------------
 
@@ -776,7 +701,6 @@ _PER_FILE_RULES = {
     "REP001": _rep001,
     "REP002": _rep002,
     "REP005": _rep005,
-    "REP007": _rep007,
     "REP008": _rep008,
     "REP009": _rep009,
 }

@@ -101,8 +101,7 @@ class TestLintCode:
         assert payload["ok"] is True
         assert payload["violations"] == []
         assert set(payload["rules"]) == {
-            "REP001", "REP002", "REP004", "REP005", "REP007", "REP008",
-            "REP009",
+            "REP001", "REP002", "REP004", "REP005", "REP008", "REP009",
         }
 
     def test_single_path_scope(self, tmp_path):

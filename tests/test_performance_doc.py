@@ -1,9 +1,9 @@
-"""``docs/performance.md``'s stage table must agree with ``BENCH_core.json``.
+"""``docs/performance.md``'s tables must agree with ``BENCH_core.json``.
 
-The table is written by hand, so it drifts whenever the bench file is
-re-recorded.  This test parses every row and compares the reference
-throughput, the current throughput and the speedup with the committed
-bench file.
+The tables are written by hand, so they drift whenever the bench file
+is re-recorded.  These tests parse every row of the stage table and of
+the per-workload trace-generation table and compare them with the
+committed bench file.
 """
 
 from __future__ import annotations
@@ -27,22 +27,31 @@ _ROW = re.compile(
     r"\|\s*(?P<current>[\d,]+)\s*\|\s*(?P<speedup>[\d.]+)×\s*\|$"
 )
 
+_WORKLOAD_HEADER = "| workload    | templated (instr/s) |"
+_WORKLOAD_ROW = re.compile(
+    r"^\|\s*`(?P<workload>[^`]+)`\s*\|\s*(?P<ips>[\d,]+)\s*\|$"
+)
 
-def _stage_rows() -> dict[str, dict[str, str]]:
+
+def _table_rows(header: str, row: re.Pattern, key: str) -> dict[str, dict]:
     lines = (REPO_ROOT / "docs" / "performance.md").read_text().splitlines()
-    start = lines.index(_HEADER) + 2  # skip the header and the rule
+    start = lines.index(header) + 2  # skip the header and the rule
     rows = {}
     for line in lines[start:]:
-        match = _ROW.match(line)
+        match = row.match(line)
         if match is None:
             break
-        rows[match["stage"]] = match.groupdict()
+        rows[match[key]] = match.groupdict()
     return rows
 
 
+def _bench() -> dict:
+    return json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+
+
 def test_stage_table_matches_bench_file():
-    bench = json.loads((REPO_ROOT / "BENCH_core.json").read_text())
-    rows = _stage_rows()
+    bench = _bench()
+    rows = _table_rows(_HEADER, _ROW, "stage")
     assert set(rows) == set(STAGES)
     for label, key in STAGES.items():
         row = rows[label]
@@ -52,3 +61,12 @@ def test_stage_table_matches_bench_file():
             bench["metrics"][key]["ips"], label
         assert float(row["speedup"]) == \
             bench["speedup_vs_reference"][key], label
+
+
+def test_per_workload_emission_table_matches_bench_file():
+    per_workload = _bench()["metrics"]["trace_generation"]["per_workload"]
+    rows = _table_rows(_WORKLOAD_HEADER, _WORKLOAD_ROW, "workload")
+    assert set(rows) == set(per_workload)
+    for workload, row in rows.items():
+        assert int(row["ips"].replace(",", "")) == \
+            per_workload[workload]["ips"], workload

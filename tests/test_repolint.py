@@ -312,84 +312,6 @@ class TestRep006BlockingCalls:
         assert violations == []
 
 
-class TestRep007AdHocGrids:
-    def test_multi_axis_comprehension_into_simulate_many_flagged(self):
-        violations = lint(
-            """
-            def sweep(context, widths, memories):
-                context.simulate_many([
-                    (context.suite.trace(name), width.with_memory(memory))
-                    for name in context.suite.names
-                    for width in widths
-                    for memory in memories
-                ])
-            """
-        )
-        assert rules_of(violations) == ["REP007"]
-        assert "repro.sweep" in violations[0].message
-
-    def test_nested_loop_simulate_calls_flagged(self):
-        violations = lint(
-            """
-            def sweep(context, widths):
-                out = {}
-                for name in context.suite.names:
-                    for width in widths:
-                        out[name] = context.simulate_app(name, width)
-                return out
-            """
-        )
-        assert rules_of(violations) == ["REP007"]
-        assert "loop nest" in violations[0].message
-
-    def test_single_axis_work_is_legal(self):
-        assert lint(
-            """
-            def stalls(context, config):
-                context.simulate_many([
-                    (context.suite.trace(name), config)
-                    for name in context.suite.names
-                ])
-                results = []
-                for name in context.suite.names:
-                    results.append(context.simulate_app(name, config))
-                return results
-            """
-        ) == []
-
-    def test_other_layers_are_exempt(self):
-        grid = """
-            def sweep(context, widths):
-                for name in context.suite.names:
-                    for width in widths:
-                        context.simulate_trace(name, width)
-        """
-        assert lint(grid, RUNTIME) == []
-        assert rules_of(lint(grid, LIB)) == ["REP007"]
-
-    def test_suppression_for_intentional_oracles(self):
-        assert lint(
-            """
-            def oracle(context, widths):
-                for name in context.suite.names:
-                    for width in widths:
-                        context.simulate_trace(name, width)  # repolint: disable=REP007
-            """
-        ) == []
-
-    def test_loop_depth_resets_at_nested_functions(self):
-        # The call is inside a helper with no loops of its own.
-        assert lint(
-            """
-            def driver(context, widths):
-                for name in context.suite.names:
-                    for width in widths:
-                        def probe():
-                            return context.simulate_trace(name, width)
-            """
-        ) == []
-
-
 class TestRep008PerCycleAllocation:
     UARCH = "repro/uarch/pipeline/synthetic_module.py"
 

@@ -157,5 +157,29 @@ class TestContextIntegration:
         assert results[0] == context.simulate_trace(trace, config)
         assert results[1].queue_occupancy
 
+    def test_memo_keys_on_trace_content_not_identity(
+        self, shared_suite, monkeypatch
+    ):
+        # CPython reuses a freed object's id, and budget-truncated traces
+        # share a length, so an id-keyed memo hands one trace's result to
+        # another.  A constant id forces that collision deterministically.
+        import repro.analysis.context as context_module
+
+        monkeypatch.setattr(
+            context_module, "id", lambda obj: 0, raising=False
+        )
+        context = ExperimentContext(suite=shared_suite)
+        config = PROC_4WAY.with_memory(ME1)
+        first = shared_suite.trace("ssearch34").slice(3000)
+        second = shared_suite.trace("blast").slice(3000)
+        assert len(first) == len(second)
+        assert context.simulate_trace(first, config) == simulate(first, config)
+        assert context.simulate_trace(second, config) == simulate(
+            second, config
+        )
+        assert context.simulate_many([(second, config)]) == [
+            simulate(second, config)
+        ]
+
     def test_prefetch_workloads_without_runtime_is_noop(self, shared_suite):
         ExperimentContext(suite=shared_suite).prefetch_workloads()

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.context import ExperimentContext
+from repro.analysis.sweeps import (
+    fig3_fig4_memory_sweep,
+    fig5_cache_size,
+    fig9_branch_prediction,
+)
+from repro.runtime.keys import config_key
 from repro.sweep import (
     SweepSpecError,
     detect_knee,
@@ -157,8 +165,6 @@ class TestLoadSpec:
             load_spec(path)
 
     def test_committed_specs_are_valid(self):
-        from pathlib import Path
-
         root = Path(__file__).resolve().parents[1] / "examples" / "sweeps"
         specs = sorted(root.glob("*.toml"))
         assert len(specs) >= 4
@@ -237,3 +243,50 @@ class TestKneeDetection:
 
     def test_short_series_has_no_knee(self):
         assert detect_knee([1.0, 2.0], [1.0, 9.0]) is None
+
+
+class _StubResult:
+    """Stands in for a simulation result: the grid tests need only keys."""
+
+    ipc = 1.0
+    cycles = 1
+
+
+class TestFigureGridsMatchCommittedSpecs:
+    """The Table IV-VI specs are the figures' grids, point for point.
+
+    Each driver's ``simulate_many`` requests are recorded and compared
+    with the committed spec's expansion, so the spec files cannot drift
+    from the figures they claim to reproduce.
+    """
+
+    @pytest.mark.parametrize("driver, spec_file", [
+        (fig3_fig4_memory_sweep, "table4_memory.toml"),
+        (fig5_cache_size, "table5_cache.toml"),
+        (fig9_branch_prediction, "table6_predictor.toml"),
+    ])
+    def test_driver_grid_equals_committed_spec(
+        self, driver, spec_file, small_suite, monkeypatch
+    ):
+        requested: list[tuple[str, tuple]] = []
+
+        def record(self, requests):
+            requests = list(requests)
+            requested.extend(
+                (trace.name, config_key(config))
+                for trace, config, *_ in requests
+            )
+            return [_StubResult()] * len(requests)
+
+        monkeypatch.setattr(ExperimentContext, "simulate_many", record)
+        driver(ExperimentContext(suite=small_suite))
+        spec = load_spec(
+            Path(__file__).resolve().parents[1] / "examples" / "sweeps"
+            / spec_file
+        )
+        expected = {
+            (point.workload, config_key(point.config))
+            for point in expand_spec(spec)
+        }
+        assert len(requested) == len(expected)
+        assert set(requested) == expected
