@@ -10,8 +10,7 @@ Usage::
     python -m repro cache stats           # persistent result cache usage
     python -m repro cache clean           # drop every cached artifact
     python -m repro store pack-db db/     # zero-copy packed DB snapshot
-    python -m repro store prewarm         # persist BLAST neighbor table
-    python -m repro store stats           # artifact store usage/hit rate
+    python -m repro store verify-db db/   # recheck a snapshot's digest
     python -m repro bench                 # hot-path throughput benchmark
     python -m repro bench --quick --check # fast CI smoke + regression gate
     python -m repro serve --port 7717     # alignment-search service (TCP)
@@ -83,17 +82,11 @@ def _cache_command(arguments: list[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro cache",
-        description="Inspect or clear the persistent result cache "
-        "(and, with --store-dir, the compiled-artifact store beside "
-        "it).",
+        description="Inspect or clear the persistent result cache.",
     )
     parser.add_argument("action", choices=("stats", "clean"))
     parser.add_argument(
         "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR")
-    )
-    parser.add_argument(
-        "--store-dir", default=os.environ.get("REPRO_STORE_DIR"),
-        help="also report/clean the compiled-artifact store here",
     )
     try:
         options = parser.parse_args(arguments)
@@ -110,69 +103,20 @@ def _cache_command(arguments: list[str]) -> int:
               f"{stats.runs} kernel runs, {stats.traces} traces, "
               f"{stats.searches} search scans, "
               f"{stats.total_bytes / 1e6:.1f} MB")
-        if options.store_dir:
-            _print_store_stats(options.store_dir)
     else:
         removed = cache.clean()
         print(f"cache {cache.root}: removed {removed.entries} artifacts "
               f"({removed.total_bytes / 1e6:.1f} MB)")
-        if options.store_dir:
-            _clean_store(options.store_dir)
     return 0
-
-
-def _print_store_stats(store_dir: str) -> None:
-    from repro.store.artifacts import ArtifactStore
-
-    store = ArtifactStore(store_dir)
-    stats = store.stats()
-    print(f"store {store.root}: {stats['artifacts']} compiled artifacts, "
-          f"{stats['total_bytes'] / 1e6:.1f} MB; handle cache "
-          f"{stats['handle_hits']} hits / {stats['disk_hits']} disk / "
-          f"{stats['misses']} misses "
-          f"(hit rate {stats['hit_rate']:.0%}), "
-          f"{stats['corrupt']} corrupt entries dropped")
-
-
-def _clean_store(store_dir: str) -> None:
-    from repro.store.artifacts import ArtifactStore
-
-    store = ArtifactStore(store_dir)
-    removed = store.clean()
-    print(f"store {store.root}: removed {removed['artifacts']} artifacts "
-          f"({removed['total_bytes'] / 1e6:.1f} MB)")
 
 
 def _store_command(arguments: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro store",
-        description="Content-addressed compiled-artifact store and "
-        "packed (mmap-able) database snapshots (see docs/storage.md).",
+        description="Packed (mmap-able) database snapshots "
+        "(see docs/storage.md).",
     )
     commands = parser.add_subparsers(dest="action", required=True)
-
-    def with_store_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--store-dir", default=os.environ.get("REPRO_STORE_DIR"),
-            help="artifact store root (default: $REPRO_STORE_DIR)",
-        )
-
-    stats = commands.add_parser(
-        "stats", help="artifact count, bytes, and handle-cache hit rate"
-    )
-    with_store_dir(stats)
-    clean = commands.add_parser(
-        "clean", help="drop every stored compiled artifact"
-    )
-    with_store_dir(clean)
-    prewarm = commands.add_parser(
-        "prewarm",
-        help="compile + store the BLAST neighbor table so no serving "
-        "process ever pays the expansion",
-    )
-    with_store_dir(prewarm)
-    prewarm.add_argument("--threshold", type=int, default=None)
-    prewarm.add_argument("--word-size", type=int, default=None)
     pack = commands.add_parser(
         "pack-db",
         help="snapshot a synthetic database into the zero-copy packed "
@@ -228,40 +172,15 @@ def _store_command(arguments: list[str]) -> int:
         print(f"packed {stats.sequence_count} sequences "
               f"({stats.residue_count} residues) into {out}")
         return 0
-    if options.action == "verify-db":
-        from repro.store.packdb import PackedDatabaseError, verify_packed
+    from repro.store.packdb import PackedDatabaseError, verify_packed
 
-        try:
-            header = verify_packed(options.path)
-        except PackedDatabaseError as error:
-            print(f"CORRUPT {error}", file=sys.stderr)
-            return 1
-        print(f"ok {options.path}: {header['sequence_count']} sequences, "
-              f"digest {header['content_digest']}")
-        return 0
-
-    if not options.store_dir:
-        print("no store directory: pass --store-dir or set REPRO_STORE_DIR",
-              file=sys.stderr)
-        return 2
-    if options.action == "stats":
-        _print_store_stats(options.store_dir)
-    elif options.action == "clean":
-        _clean_store(options.store_dir)
-    else:
-        from repro.store.artifacts import ArtifactStore, prewarm
-
-        started = time.perf_counter()
-        report = prewarm(
-            ArtifactStore(options.store_dir),
-            threshold=options.threshold,
-            word_size=options.word_size,
-        )
-        print(f"store {options.store_dir}: neighbor table "
-              f"({report['neighbor_entries']} entries) ready in "
-              f"{time.perf_counter() - started:.2f}s; "
-              f"{report['artifacts']} artifacts, "
-              f"{report['total_bytes'] / 1e6:.1f} MB on disk")
+    try:
+        header = verify_packed(options.path)
+    except PackedDatabaseError as error:
+        print(f"CORRUPT {error}", file=sys.stderr)
+        return 1
+    print(f"ok {options.path}: {header['sequence_count']} sequences, "
+          f"digest {header['content_digest']}")
     return 0
 
 

@@ -112,8 +112,8 @@ def make_engine(
 
 
 def blast_options(params: SearchParams) -> BlastOptions:
-    """BLAST engine options for one parameter set (shared with the
-    artifact store, which keys per-query lookup tables off them)."""
+    """BLAST engine options for one parameter set (shared by the engine
+    and its finalizer)."""
     options = BlastOptions(best_count=params.best_count, gaps=params.gaps)
     if params.threshold is not None:
         options = replace(options, threshold=params.threshold)

@@ -84,27 +84,20 @@ class BlastEngine:
         self,
         query: Sequence | str,
         options: BlastOptions = BlastOptions(),
-        lookup: LookupTable | None = None,
     ) -> None:
         self.query = as_sequence(query, identifier="query")
         self.options = options
-        if lookup is None:
-            lookup_query = self.query
-            if options.mask_query:
-                from repro.bio.complexity import mask_sequence
+        lookup_query = self.query
+        if options.mask_query:
+            from repro.bio.complexity import mask_sequence
 
-                lookup_query = mask_sequence(self.query)
-            lookup = LookupTable(
-                lookup_query.codes,
-                matrix=options.matrix,
-                word_size=options.word_size,
-                threshold=options.threshold,
-            )
-        # A prebuilt ``lookup`` (the artifact store's deserialized
-        # table for this exact query/matrix/threshold) skips both the
-        # masking pass and the table compilation — the whole per-query
-        # setup cost.
-        self.lookup = lookup
+            lookup_query = mask_sequence(self.query)
+        self.lookup = LookupTable(
+            lookup_query.codes,
+            matrix=options.matrix,
+            word_size=options.word_size,
+            threshold=options.threshold,
+        )
         self.karlin: KarlinParameters = estimate_parameters(options.matrix)
         self.statistics = BlastStatistics(lookup_entries=self.lookup.entry_count)
 

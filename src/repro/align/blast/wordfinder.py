@@ -160,36 +160,6 @@ def precompute_neighborhoods(
     return entries
 
 
-def export_neighbor_table(
-    matrix_name: str, threshold: int, word_size: int
-) -> dict[int, tuple[int, ...]] | None:
-    """This process's neighbor memo for one parameter set (or None).
-
-    The artifact store serializes what :func:`precompute_neighborhoods`
-    expanded; a partially-filled memo (lazy per-query fills) exports
-    too, but callers persisting under a full-table key must precompute
-    first.
-    """
-    table = _NEIGHBOR_MEMO.get((matrix_name, threshold, word_size))
-    return dict(table) if table else None
-
-
-def install_neighbor_table(
-    matrix_name: str,
-    threshold: int,
-    word_size: int,
-    table: dict[int, tuple[int, ...]],
-) -> None:
-    """Adopt a deserialized neighbor table into the process memo.
-
-    Store-first warm-up: a table loaded from the artifact store lands
-    here and query compilation proceeds exactly as if
-    :func:`precompute_neighborhoods` had run — without the ~0.6 s
-    branch-and-bound expansion.
-    """
-    _NEIGHBOR_MEMO[(matrix_name, threshold, word_size)] = dict(table)
-
-
 @dataclass(frozen=True)
 class WordHit:
     """A two-hit-qualified seed: query/subject offsets of the second hit."""
@@ -251,30 +221,6 @@ class LookupTable:
         #: Word indices with at least one entry (batched-scan fast path).
         self.occupied: tuple[int, ...] = tuple(occupied)
         self.entry_count = entry_count
-
-    @classmethod
-    def from_cells(
-        cls,
-        word_size: int,
-        threshold: int,
-        cells: "list[list[int] | None]",
-        occupied: tuple[int, ...],
-        entry_count: int,
-    ) -> "LookupTable":
-        """Rebuild a table from its serialized cells (artifact store).
-
-        Trusted constructor: the caller provides exactly what
-        ``__init__`` would have computed for the same query/matrix/
-        threshold, so the resulting table scans byte-identically
-        without recompiling the query's neighborhoods.
-        """
-        table = cls.__new__(cls)
-        table.word_size = word_size
-        table.threshold = threshold
-        table._cells = cells
-        table.occupied = occupied
-        table.entry_count = entry_count
-        return table
 
     def __len__(self) -> int:
         return len(self._cells)

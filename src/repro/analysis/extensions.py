@@ -122,33 +122,40 @@ def swat_ablation(context: ExperimentContext) -> SwatAblationResult:
 
     Both runs compute identical scores over the same database subjects
     (the optimized kernel's subject coverage at the standard budget).
+    The runs are unlimited, so each trace and its decode plane are the
+    largest objects here: one variant is traced, simulated and dropped
+    before the next is traced.
     """
     suite = context.suite
     baseline = suite.run("ssearch34")
     subjects = max(1, baseline.subjects_processed)
     sliced = suite.database.slice(subjects)
-    query = suite.query
     config = PROC_4WAY.with_memory(ME1)
 
-    optimized = SsearchKernel(computation_avoidance=True).run(
-        query, sliced, record=True
-    )
-    naive = SsearchKernel(computation_avoidance=False).run(
-        query, sliced, record=True
-    )
-    assert optimized.scores == naive.scores
+    def measure(computation_avoidance: bool):
+        run = SsearchKernel(computation_avoidance=computation_avoidance).run(
+            suite.query, sliced, record=True
+        )
+        result = context.simulate_trace(run.trace, config)
+        return (
+            run.scores, run.instruction_count, run.mix.control_fraction(),
+            result,
+        )
 
-    result_optimized = context.simulate_trace(optimized.trace, config)
-    result_naive = context.simulate_trace(naive.trace, config)
+    scores_with, instructions_with, control_with, result_with = measure(True)
+    scores_without, instructions_without, control_without, result_without = (
+        measure(False)
+    )
+    assert scores_with == scores_without
     return SwatAblationResult(
-        instructions_with=optimized.instruction_count,
-        instructions_without=naive.instruction_count,
-        control_with=optimized.mix.control_fraction(),
-        control_without=naive.mix.control_fraction(),
-        ipc_with=result_optimized.ipc,
-        ipc_without=result_naive.ipc,
-        accuracy_with=result_optimized.branch.accuracy,
-        accuracy_without=result_naive.branch.accuracy,
+        instructions_with=instructions_with,
+        instructions_without=instructions_without,
+        control_with=control_with,
+        control_without=control_without,
+        ipc_with=result_with.ipc,
+        ipc_without=result_without.ipc,
+        accuracy_with=result_with.branch.accuracy,
+        accuracy_without=result_without.branch.accuracy,
     )
 
 

@@ -57,8 +57,6 @@ def _serve_flags(args: argparse.Namespace) -> tuple[str, ...]:
         flags += ["--cache-dir", args.cache_dir]
     if getattr(args, "db_path", None):
         flags += ["--db-path", args.db_path]
-    if getattr(args, "store_dir", None):
-        flags += ["--store-dir", args.store_dir]
     return tuple(flags)
 
 

@@ -167,7 +167,8 @@ class Trace:
     """
 
     __slots__ = (
-        "name", "columns", "_instructions", "_decoded", "stamped_regions"
+        "name", "columns", "_instructions", "_decoded", "stamped_regions",
+        "__weakref__",
     )
 
     def __init__(

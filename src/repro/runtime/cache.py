@@ -12,22 +12,29 @@ Layout under the cache root::
 two hex characters (fan-out so directories stay small).  Trace files are
 addressed by *content* digest, so a trace generated by a trace task and
 a trace spilled for shipping to a simulate worker land on the same file.
-Writes go through a temporary file plus :func:`os.replace`, so
-concurrent producers of the same entry are safe (last write wins with
-identical bytes).
+Writes go through a same-directory temporary file plus
+:func:`os.replace`, so concurrent producers of the same entry are safe
+(last write wins with identical bytes) and readers never see a torn
+file; a missing or unreadable entry loads as a miss.  Maintenance
+(``stats``/``clean``) touches only the ``objects/`` tree, so the cache
+root can host sidecar state — sweep manifests, flow-graph pickles —
+without the cleaner removing it.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 from repro.isa.serialize import load_trace, save_trace
 from repro.isa.trace import InstructionMix, Trace
 from repro.kernels.base import KernelRun
-from repro.store.base import ContentStore
 from repro.uarch.results import BranchResult, CacheResult, SimulationResult
 
 RESULT_SUFFIX = ".result.json"
@@ -109,14 +116,38 @@ class CacheStats:
         return self.results + self.runs + self.traces + self.searches
 
 
-class ResultCache(ContentStore):
+class ResultCache:
     """Content-addressed result store rooted at one directory.
 
-    The on-disk discipline (fan-out layout, atomic writes, shared
-    eviction) comes from :class:`repro.store.base.ContentStore`; this
-    subclass owns the result-shaped codecs — simulation results,
-    kernel-run sidecars, spilled traces, search-shard scans.
+    Holds simulation results, kernel-run sidecars, spilled traces and
+    search-shard scans under ``objects/`` (see the module docstring).
     """
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        self.objects = self.root / "objects"
+        self.objects.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, digest: str, suffix: str) -> Path:
+        return self.objects / digest[:2] / f"{digest}{suffix}"
+
+    def _write_atomic(
+        self, path: Path, writer: Callable[[Path], None]
+    ) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Keep the real suffix: np.savez appends ".npz" to paths without
+        # it.  The temp name carries pid AND thread id — concurrent
+        # producers in one process (serve loop + pool threads) must not
+        # share a temp or one replaces the other's half-written file.
+        temporary = path.with_name(
+            f".{path.stem}.{os.getpid()}.{threading.get_ident()}"
+            f".tmp{path.suffix}"
+        )
+        try:
+            writer(temporary)
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
 
     # -- simulation results -------------------------------------------------
 
@@ -241,11 +272,26 @@ class ResultCache(ContentStore):
 
     # -- maintenance --------------------------------------------------------
 
+    def object_files(self) -> Iterator[Path]:
+        """Every stored object (skips directories and in-flight temps)."""
+        for path in self.objects.rglob("*"):
+            if path.is_file() and not path.name.startswith("."):
+                yield path
+
     def stats(self) -> CacheStats:
         """Count entries and bytes (for ``repro cache stats``)."""
-        counts, _, total = self.measure(
-            (RESULT_SUFFIX, RUN_SUFFIX, TRACE_SUFFIX, SEARCH_SUFFIX)
-        )
+        suffixes = (RESULT_SUFFIX, RUN_SUFFIX, TRACE_SUFFIX, SEARCH_SUFFIX)
+        counts = dict.fromkeys(suffixes, 0)
+        total = 0
+        for path in self.object_files():
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue  # removed concurrently
+            for suffix in suffixes:
+                if path.name.endswith(suffix):
+                    counts[suffix] += 1
+                    break
         return CacheStats(
             results=counts[RESULT_SUFFIX],
             runs=counts[RUN_SUFFIX],
@@ -257,5 +303,6 @@ class ResultCache(ContentStore):
     def clean(self) -> CacheStats:
         """Delete every cached artifact; returns what was removed."""
         stats = self.stats()
-        self.clear_objects()
+        shutil.rmtree(self.objects, ignore_errors=True)
+        self.objects.mkdir(parents=True, exist_ok=True)
         return stats

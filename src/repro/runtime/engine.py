@@ -61,7 +61,6 @@ class ExperimentRuntime:
         jobs: int = 1,
         cache_dir: str | None = None,
         *,
-        store_dir: str | None = None,
         task_timeout: float | None = None,
         retries: int = 2,
         fault_hook=None,
@@ -69,10 +68,6 @@ class ExperimentRuntime:
         metrics: RunMetrics | None = None,
         strict: bool = False,
     ) -> None:
-        #: Compiled-artifact store root (repro.store.artifacts); when
-        #: set, search workers resolve neighbor tables and query
-        #: lookup tables store-first instead of recompiling.
-        self.store_dir = store_dir
         #: Refuse to cache or simulate traces that fail lint
         #: (repro.verify.tracelint); see docs/verify.md.
         self.strict = strict
@@ -154,36 +149,39 @@ class ExperimentRuntime:
         :data:`BATCH_WIDTH` configurations, so a worker loads and
         decodes the trace once per task rather than once per config.
         """
-        return self._resolve(requests, sweep=False)
+        return self._resolve(requests, sweep=False)[0]
 
     # -- sweep point tasks --------------------------------------------------
 
     def sweep_points(
         self, requests: list[SimRequest]
-    ) -> list[SimulationResult]:
+    ) -> tuple[list[SimulationResult], list[bool]]:
         """Resolve a batch of sweep grid points (cache-first, parallel).
 
-        Identical in contract to :meth:`simulate_many` — duplicates
-        collapse, results come back in request order, misses sharing a
-        trace group into batch tasks, and the cache addresses are the
-        same :func:`~repro.runtime.keys.simulate_key` digests, so sweep
+        Like :meth:`simulate_many` — duplicates collapse, results come
+        back in request order, misses sharing a trace group into batch
+        tasks, and the cache addresses are the same
+        :func:`~repro.runtime.keys.simulate_key` digests, so sweep
         points and ad-hoc figure runs share entries byte-for-byte.  The
-        difference is durability: ``sweep_point`` / ``sweep_batch``
-        workers store their results into the persistent cache
-        *themselves*, so a point survives even if this orchestrating
-        process dies before the batch returns.
+        differences: ``sweep_point`` / ``sweep_batch`` workers store
+        their results into the persistent cache *themselves*, so a
+        point survives even if this orchestrating process dies before
+        the batch returns; and alongside the results comes one flag per
+        request, true where the result came from the cache rather than
+        a simulation.
         """
         return self._resolve(requests, sweep=True)
 
     def _resolve(
         self, requests: list[SimRequest], *, sweep: bool
-    ) -> list[SimulationResult]:
+    ) -> tuple[list[SimulationResult], list[bool]]:
         metric_kind = "sweep" if sweep else "simulate"
         requests = [
             (trace, config, bool(occupancy))
             for trace, config, occupancy in requests
         ]
         results: list[SimulationResult | None] = [None] * len(requests)
+        cached_flags = [False] * len(requests)
         # Cache misses in first-seen order, each with every request
         # index it answers.
         miss_indices: dict[str, list[int]] = {}
@@ -196,6 +194,7 @@ class ExperimentRuntime:
             cached = self.cache.load_result(digest)
             if cached is not None:
                 results[index] = cached
+                cached_flags[index] = True
                 self.metrics.record_hit(
                     metric_kind,
                     _simulate_label(trace, config, occupancy),
@@ -236,7 +235,7 @@ class ExperimentRuntime:
                     self.cache.store_result(digest, result)
                 for index in miss_indices[digest]:
                     results[index] = result
-        return results  # type: ignore[return-value]
+        return results, cached_flags  # type: ignore[return-value]
 
     def _simulate_task(self, group: _Group, sweep: bool) -> Task:
         digests, trace, configs, occupancy = group
@@ -336,8 +335,8 @@ class ExperimentRuntime:
             tasks.append(Task(
                 kind="search_shard",
                 payload=(
-                    params_key, queries, database_config,
-                    shard_index, shard_count, self.store_dir,
+                    params_key, queries, database_config, shard_index,
+                    shard_count,
                 ),
                 label=_search_label(
                     SearchParams.from_key(params_key), len(queries),
@@ -382,7 +381,6 @@ class ExperimentRuntime:
         payload = (
             DEFAULT_THRESHOLD if threshold is None else threshold,
             DEFAULT_WORD_SIZE if word_size is None else word_size,
-            self.store_dir,
         )
         tasks = [
             Task(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import weakref
 from pathlib import Path
 
 from repro.isa.trace import Trace
@@ -95,9 +96,11 @@ def code_salt() -> str:
     return _code_salt
 
 
-#: id(trace) -> (pinned trace, digest).  The pin keeps the id stable;
-#: the handful of suite traces live for the process anyway.
-_trace_digests: dict[int, tuple[Trace, str]] = {}
+#: id(trace) -> (weak reference to the trace, digest).  The reference
+#: tells a live entry from a dead trace whose id was reused, and its
+#: callback drops the entry, so the memo never keeps a trace (or its
+#: decode plane) alive.
+_trace_digests: dict[int, tuple[weakref.ref, str]] = {}
 
 
 def compute_trace_digest(trace: Trace) -> str:
@@ -122,11 +125,15 @@ def compute_trace_digest(trace: Trace) -> str:
 
 def trace_digest(trace: Trace) -> str:
     """Memoized :func:`compute_trace_digest` (keyed on trace identity)."""
-    memo = _trace_digests.get(id(trace))
-    if memo is not None and memo[0] is trace:
+    key = id(trace)
+    memo = _trace_digests.get(key)
+    if memo is not None and memo[0]() is trace:
         return memo[1]
     value = compute_trace_digest(trace)
-    _trace_digests[id(trace)] = (trace, value)
+    _trace_digests[key] = (
+        weakref.ref(trace, lambda _: _trace_digests.pop(key, None)),
+        value,
+    )
     return value
 
 

@@ -49,24 +49,20 @@ Kinds
     byte-for-byte, as ``sweep_point`` would produce), and the return
     value is the list of result dicts in config order.
 ``search_shard``
-    ``(params_key, queries, database_config, shard_index, shard_count
-    [, store_root])`` — scans one deterministic shard of the database
-    for a *batch* of queries (``queries`` is a tuple of ``(id,
-    residues)`` pairs) and returns ``{"scans": [ShardScan dict, ...]}``
-    in query order.  ``database_config`` is either a generator config
-    (the worker materializes and memoizes the database) or a
+    ``(params_key, queries, database_config, shard_index, shard_count)``
+    — scans one deterministic shard of the database for a *batch* of
+    queries (``queries`` is a tuple of ``(id, residues)`` pairs) and
+    returns ``{"scans": [ShardScan dict, ...]}`` in query order.
+    ``database_config`` is either a generator config (the worker
+    materializes and memoizes the database) or a
     :class:`~repro.store.packdb.PackedDatabaseRef` (the worker mmaps
-    the shared snapshot).  With ``store_root``, BLAST query lookup
-    tables resolve through the artifact store
-    (:mod:`repro.store.artifacts`) before compiling.
+    the shared snapshot).
 ``precompute_words``
-    ``(threshold, word_size[, store_root])`` — expands every possible
-    BLAST word's neighborhood into the worker's memo (the moral
-    equivalent of BLAST's shipped neighbor tables).  With
-    ``store_root`` the expansion is loaded from / persisted to the
-    artifact store, so only the first process ever pays it.  The
-    serving layer dispatches one per worker at startup so later query
-    compiles are memo lookups.
+    ``(threshold, word_size)`` — expands every possible BLAST word's
+    neighborhood into the worker's memo (the moral equivalent of
+    BLAST's shipped neighbor tables).  The serving layer dispatches
+    one per worker at startup so later query compiles are memo
+    lookups.
 ``flow_facts``
     ``(path, relative, module, is_package, spec)`` — scans one module's
     source into :class:`repro.verify.flow.ModuleFacts` (symbol table,
@@ -204,13 +200,7 @@ def _memo_database(database_config):
     return database
 
 
-def _memo_engine(
-    params,
-    params_key: tuple,
-    query_id: str,
-    query_text: str,
-    store_root: str | None = None,
-):
+def _memo_engine(params, params_key: tuple, query_id: str, query_text: str):
     from repro.align.batch import make_engine, make_query
 
     key = (params_key, query_text)
@@ -218,19 +208,7 @@ def _memo_engine(
     if engine is None:
         if len(_engine_memo) >= _ENGINE_MEMO_CAP:
             _engine_memo.clear()
-        if store_root is not None and params.algorithm == "blast":
-            from repro.store.artifacts import (
-                ArtifactStore,
-                cached_blast_engine,
-            )
-
-            engine = cached_blast_engine(
-                ArtifactStore(store_root),
-                params,
-                make_query(query_id, query_text),
-            )
-        else:
-            engine = make_engine(params, make_query(query_id, query_text))
+        engine = make_engine(params, make_query(query_id, query_text))
         _engine_memo[key] = engine
     return engine
 
@@ -238,16 +216,11 @@ def _memo_engine(
 def execute_search_shard(payload: tuple) -> dict:
     from repro.align.batch import SearchParams, scan_shard
 
-    params_key, queries, database_config, shard_index, shard_count = (
-        payload[:5]
-    )
-    store_root = payload[5] if len(payload) > 5 else None
+    params_key, queries, database_config, shard_index, shard_count = payload
     params = SearchParams.from_key(params_key)
     database = _memo_database(database_config)
     engines = [
-        _memo_engine(
-            params, tuple(params_key), query_id, query_text, store_root
-        )
+        _memo_engine(params, tuple(params_key), query_id, query_text)
         for query_id, query_text in queries
     ]
     scans = scan_shard(params, engines, database, shard_index, shard_count)
@@ -257,20 +230,11 @@ def execute_search_shard(payload: tuple) -> dict:
 def execute_precompute_words(payload: tuple) -> dict:
     from repro.align.blast.wordfinder import precompute_neighborhoods
 
-    threshold, word_size = payload[:2]
-    store_root = payload[2] if len(payload) > 2 else None
+    threshold, word_size = payload
     start = time.perf_counter()
-    if store_root is not None:
-        from repro.store.artifacts import ArtifactStore, ensure_neighbor_table
-
-        entries = ensure_neighbor_table(
-            ArtifactStore(store_root),
-            threshold=threshold, word_size=word_size,
-        )
-    else:
-        entries = precompute_neighborhoods(
-            threshold=threshold, word_size=word_size
-        )
+    entries = precompute_neighborhoods(
+        threshold=threshold, word_size=word_size
+    )
     return {
         "entries": entries,
         "seconds": time.perf_counter() - start,

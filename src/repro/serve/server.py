@@ -63,9 +63,6 @@ class ServeConfig:
     policy: BatchPolicy = field(default_factory=BatchPolicy)
     default_timeout: float | None = 30.0
     cache_dir: str | None = None
-    #: Compiled-artifact store root (``repro store``); neighbor tables
-    #: and query lookup tables resolve store-first when set.
-    store_dir: str | None = None
     #: Expand the full BLAST neighborhood table in every worker at
     #: startup (~0.6 s per worker once) so query compiles on the hot
     #: path degrade to memo lookups.  The CLI turns this on; tests
@@ -119,7 +116,6 @@ class AlignmentService:
         self.runtime = ExperimentRuntime(
             jobs=config.jobs,
             cache_dir=config.cache_dir,
-            store_dir=config.store_dir,
         )
         if config.database_path is not None:
             from repro.store.packdb import PackedDatabaseRef, open_packed
@@ -373,7 +369,6 @@ def build_config(args) -> ServeConfig:
     return ServeConfig(
         database=database,
         database_path=getattr(args, "db_path", None),
-        store_dir=getattr(args, "store_dir", None),
         shard_count=args.shards,
         jobs=args.jobs,
         queue_capacity=args.queue_capacity,
@@ -432,11 +427,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
         help="persistent scan cache directory (default: ephemeral)",
-    )
-    parser.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help="compiled-artifact store (repro store); BLAST tables "
-             "load from it instead of recompiling per process",
     )
     parser.add_argument(
         "--precompute", action=argparse.BooleanOptionalAction,

@@ -1,24 +1,12 @@
-"""Persistent stores: content-addressed objects, compiled artifacts,
-and the packed (mmap-able) columnar database format.
+"""Packed (mmap-able) columnar database snapshots.
 
-Three layers (see docs/storage.md):
-
-* :mod:`repro.store.base` — the on-disk discipline every store shares:
-  ``objects/<aa>/<digest><suffix>`` fan-out, atomic writes, counting,
-  clearing, and bounded oldest-first eviction.
-* :mod:`repro.store.artifacts` — the compiled-artifact store: BLAST
-  neighbor tables and per-query lookup tables (word indexes) keyed by
-  content digest + code-version salt, so warm processes skip compile
-  work entirely.
-* :mod:`repro.store.packdb` — ``repro store pack-db`` output: a
-  columnar on-disk :class:`~repro.bio.database.SequenceDatabase`
-  snapshot whose residue/id/description columns are opened with
-  ``np.load(..., mmap_mode="r")``, so N replica processes share the
-  page cache instead of materializing N private heaps.
+:mod:`repro.store.packdb` is ``repro store pack-db`` output: a columnar
+on-disk :class:`~repro.bio.database.SequenceDatabase` snapshot whose
+residue/id/description columns are opened with
+``np.load(..., mmap_mode="r")``, so N replica processes share the page
+cache instead of materializing N private heaps (see docs/storage.md).
 """
 
-from repro.store.artifacts import ArtifactStore, artifact_key
-from repro.store.base import ContentStore, StoreStats
 from repro.store.packdb import (
     PackedDatabase,
     PackedDatabaseError,
@@ -28,13 +16,9 @@ from repro.store.packdb import (
 )
 
 __all__ = [
-    "ArtifactStore",
-    "ContentStore",
     "PackedDatabase",
     "PackedDatabaseError",
     "PackedDatabaseRef",
-    "StoreStats",
-    "artifact_key",
     "open_packed",
     "pack_database",
 ]

@@ -123,15 +123,16 @@ def run_sweep(
             pending.append(point)
 
     budget = len(pending) if max_points is None else max(0, int(max_points))
-    for start in range(0, min(budget, len(pending)), batch_size):
+    processed = min(budget, len(pending))
+    for start in range(0, processed, batch_size):
         batch = pending[start:start + batch_size][:budget - start]
-        results = runtime.sweep_points(
+        results, cached = runtime.sweep_points(
             [
                 (suite.trace(point.workload), point.config, False)
                 for point in batch
             ]
         )
-        for point, result in zip(batch, results):
+        for point, result, hit in zip(batch, results, cached):
             manifest.record(
                 point.point_id,
                 digests[point.point_id],
@@ -139,12 +140,13 @@ def run_sweep(
                 point.coords,
                 point_metrics(result),
             )
-            run.executed.append(point.point_id)
+            # A point another run (a figure driver, an earlier sweep
+            # over an overlapping grid) already simulated resolves from
+            # the shared result cache: it is resumed, not executed.
+            (run.resumed if hit else run.executed).append(point.point_id)
         manifest.save()
 
-    run.remaining = [
-        point.point_id for point in pending[len(run.executed):]
-    ]
+    run.remaining = [point.point_id for point in pending[processed:]]
     return run
 
 

@@ -56,11 +56,7 @@ FL005    environment-influence escape: an environment variable read
          reachable from a cached task body that is not salted into
          the cache key (compare ``REPRO_SCALE``, which flows through
          ``scale_factor`` into every key) silently aliases cache
-         entries produced under different environments.  The same
-         rule covers artifact-store reads: loading from the
-         content-addressed store on a cached-task path without
-         deriving the key through the code-salted ``artifact_key``
-         can serve artifacts written by a different code version.
+         entries produced under different environments.
 =======  =============================================================
 
 Suppression: append ``# flowlint: disable=FL00x`` to the *offending*
@@ -102,8 +98,8 @@ FLOW_RULES: dict[str, str] = {
              "cache key",
     "FL003": "write to pre-fork shared state from fork-worker code",
     "FL004": "blocking call reachable from a serve coroutine",
-    "FL005": "environment or artifact-store read reaching cached "
-             "results without key salting",
+    "FL005": "environment read reaching cached results without key "
+             "salting",
 }
 
 #: The runtime's dispatch table; its entries are the cached task roots.
@@ -125,16 +121,6 @@ _KEY_ROOTS = (
     "repro.runtime.keys.trace_task_key",
     "repro.runtime.keys.search_shard_key",
 )
-#: Artifact-store read methods: loading a compiled artifact by digest.
-_STORE_READS = ("repro.store.artifacts.ArtifactStore.load_arrays",)
-#: The one code-salted key builder for artifact-store entries.  A store
-#: read reachable from a cached task must derive its key here (directly
-#: or through a helper) or it can serve artifacts written by a
-#: different code version.
-_STORE_SALT = "repro.store.artifacts.artifact_key"
-#: The storage layer itself pairs every read with the salted key by
-#: construction, so its own modules are exempt.
-_STORE_PREFIX = "repro.store"
 #: Packages whose coroutines must never block the event loop: the
 #: single-server serve layer and the cluster router/supervisor built
 #: on top of it (one stalled router coroutine stalls every replica's
@@ -1623,37 +1609,6 @@ def fl005(
                 f"reads ${shown} on a path feeding cached results, but "
                 "the cache key is never salted with it; two "
                 "environments would alias one cache entry",
-                chain=chain_to(parents, qual),
-            ))
-    store_reads = {
-        qual for qual in _STORE_READS if qual in graph.functions
-    }
-    for qual in sorted(parents):
-        if not store_reads:
-            break
-        info = graph.functions[qual]
-        if qual in store_reads or (
-            info.module == _STORE_PREFIX
-            or info.module.startswith(_STORE_PREFIX + ".")
-        ):
-            continue
-        hits = [
-            (callee, line)
-            for callee, line in graph.edges.get(qual, [])
-            if callee in store_reads
-        ]
-        if not hits:
-            continue
-        if _STORE_SALT in reachable(graph, [qual]):
-            continue
-        for callee, line in hits:
-            method = callee.rsplit(".", 1)[-1]
-            violations.append(FlowViolation(
-                "FL005", info.relative, line,
-                f"calls {method} on the artifact store without "
-                "deriving the key through artifact_key (code-salted); "
-                "an un-salted read can serve artifacts written by a "
-                "different code version",
                 chain=chain_to(parents, qual),
             ))
     return violations

@@ -102,8 +102,8 @@ REP005_SCOPE = "runtime/"
 #: Where REP008 applies (the simulator's cycle-loop hot paths).
 REP008_SCOPE = "uarch/"
 
-#: Modules allowed to write on-disk artifacts (REP009): the
-#: content-addressed stores, the result cache built on them, and the
+#: Modules allowed to write on-disk artifacts (REP009): the packed
+#: database format, the content-addressed result cache, and the
 #: versioned trace archive format.
 REP009_OWNERS = ("store/", "runtime/cache.py", "isa/serialize.py")
 
@@ -649,13 +649,13 @@ def _rep008(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 # ----------------------------------------------------------------------
 
 def _rep009(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
-    """Flag serialization writes outside the content-addressed stores.
+    """Flag serialization writes outside the storage layer.
 
-    ``repro.store`` and the result cache built on it exist so that
-    every cached byte on disk is digest-addressed (code-salted — a
-    source change invalidates it), atomically written, and
-    checksum-verified on read.  A ``pickle.dump`` or ``np.save`` call
-    anywhere else starts a parallel cache with none of those
+    The result cache exists so that every cached byte on disk is
+    digest-addressed (code-salted — a source change invalidates it)
+    and atomically written, and the packed database format pins a
+    content digest in its header.  A ``pickle.dump`` or ``np.save``
+    call anywhere else starts a parallel cache with none of those
     properties: it survives code changes it should not survive and
     crashes (or worse, misleads) on torn writes.  Reads are not
     flagged — consuming a store-managed file elsewhere is fine.
@@ -687,8 +687,8 @@ def _rep009(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
                 node.lineno,
                 f"{root.split('.')[0]}.{attr} writes an ad-hoc on-disk "
                 "artifact outside the storage layer; route it through "
-                "repro.store (content-addressed, code-salted, "
-                "checksummed) or repro.runtime.cache",
+                "repro.runtime.cache (content-addressed, code-salted, "
+                "atomically written) or the packed format in repro.store",
             ))
     return sorted(set(findings))
 

@@ -1,8 +1,6 @@
 """FL005 fixture: cached tasks influenced by env vars through helpers."""
 
 from repro.env.scale import scale_factor, secret_mode, secret_mode_quiet
-from repro.runtime.compile import load_raw, load_raw_quiet, load_salted
-from repro.store.artifacts import ArtifactStore
 
 
 def execute_simulate(payload):
@@ -13,17 +11,7 @@ def execute_trace(payload):
     return payload if secret_mode_quiet() else None
 
 
-def execute_search_shard(payload):
-    store = ArtifactStore()
-    return (
-        load_raw(store, payload),
-        load_salted(store, payload),
-        load_raw_quiet(store, payload),
-    )
-
-
 TASK_KINDS = {
     "simulate": execute_simulate,
     "trace": execute_trace,
-    "search_shard": execute_search_shard,
 }

@@ -154,9 +154,10 @@ class TestGrouping:
         with ExperimentRuntime(
             cache_dir=str(tmp_path), executor=executor
         ) as runtime:
-            results = runtime.sweep_points(
+            results, cached = runtime.sweep_points(
                 [(trace, config, False) for config in configs]
             )
+        assert cached == [False] * len(configs)
         assert [
             (task.kind, len(task.payload[1])) for task in executor.tasks
         ] == [("sweep_batch", 8), ("sweep_batch", 2)]

@@ -1,5 +1,7 @@
 """Tests for the beyond-the-paper ablation/sweep drivers."""
 
+import gc
+
 from repro.analysis.extensions import (
     blast_window_ablation,
     query_length_sweep,
@@ -8,6 +10,8 @@ from repro.analysis.extensions import (
     swat_ablation_report,
     window_ablation_report,
 )
+from repro.isa.trace import Trace
+from repro.kernels.ssearch_kernel import SsearchKernel
 
 
 class TestSwatAblation:
@@ -20,6 +24,24 @@ class TestSwatAblation:
         # data-dependent branches.
         result = swat_ablation(context)
         assert result.control_without < result.control_with
+
+    def test_one_variant_trace_alive_at_a_time(self, context, monkeypatch):
+        # Both variants are unlimited traces: the first must be gone
+        # (with its decode plane) before the second is generated.
+        live: list[int] = []
+        original = SsearchKernel.run
+
+        def counting_run(self, *args, **kwargs):
+            gc.collect()
+            live.append(sum(
+                isinstance(item, Trace) for item in gc.get_objects()
+            ))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SsearchKernel, "run", counting_run)
+        swat_ablation(context)
+        assert len(live) >= 2
+        assert live[-1] == live[-2]
 
     def test_report_renders(self, context):
         report = swat_ablation_report(swat_ablation(context))

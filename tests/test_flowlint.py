@@ -181,50 +181,23 @@ class TestFL004:
 class TestFL005:
     def test_unsalted_env_read_fires(self):
         graph = fixture_graph("fl005")
-        violations = flow.lint_flow(graph=graph)
-        assert [v.rule for v in violations] == ["FL005", "FL005"]
-        violation = next(
-            v for v in violations if v.path == "repro/env/scale.py"
-        )
+        [violation] = flow.lint_flow(graph=graph)
+        assert violation.rule == "FL005"
+        assert violation.path == "repro/env/scale.py"
         assert "REPRO_SECRET" in violation.message
         assert len(violation.chain) == 2
         assert violation.chain[-1].endswith("secret_mode")
-
-    def test_unsalted_store_read_fires(self):
-        graph = fixture_graph("fl005")
-        violations = flow.lint_flow(graph=graph)
-        violation = next(
-            v for v in violations
-            if v.path == "repro/runtime/compile.py"
-        )
-        assert "artifact_key" in violation.message
-        assert "load_arrays" in violation.message
-        # Interprocedural: task body -> load_raw -> store read.
-        assert violation.chain[0].endswith("execute_search_shard")
-        assert violation.chain[-1].endswith("load_raw")
 
     def test_salted_env_read_clean(self):
         graph = fixture_graph("fl005")
         raw = flow.lint_flow(graph=graph, honor_suppressions=False)
         assert not any("REPRO_SCALE" in v.message for v in raw)
 
-    def test_salted_store_read_clean(self):
-        graph = fixture_graph("fl005")
-        raw = flow.lint_flow(graph=graph, honor_suppressions=False)
-        assert not any(
-            v.chain and v.chain[-1].endswith("load_salted")
-            for v in raw
-        )
-        # The storage layer's own read helpers are exempt.
-        assert not any(
-            v.path == "repro/store/artifacts.py" for v in raw
-        )
-
     def test_suppressed_read_filtered(self):
         graph = fixture_graph("fl005")
         raw = flow.lint_flow(graph=graph, honor_suppressions=False)
-        assert len(raw) == 4
-        assert len(flow.lint_flow(graph=graph)) == 2
+        assert len(raw) == 2
+        assert len(flow.lint_flow(graph=graph)) == 1
 
 
 class TestOverrideEdges:

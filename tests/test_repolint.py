@@ -474,7 +474,7 @@ class TestRep009AdHocPersistence:
                     pickle.dump(table, stream)
             """
         for owner in (
-            "repro/store/artifacts.py",
+            "repro/store/packdb.py",
             "repro/runtime/cache.py",
             "repro/isa/serialize.py",
         ):

@@ -1,5 +1,7 @@
 """Tests for the runtime's content-addressed cache and its keys."""
 
+import threading
+
 import pytest
 
 from repro.isa.builder import TraceBuilder
@@ -133,6 +135,74 @@ class TestResultCache:
         # The cache stays usable after a clean.
         cache.store_result("ab" * 16, build_result())
         assert cache.stats().results == 1
+
+    def test_clean_keeps_sidecar_state_beside_objects(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store_result("ab" * 16, build_result())
+        manifest = tmp_path / "sweeps" / "grid.json"
+        manifest.parent.mkdir()
+        manifest.write_text("{}")
+        cache.clean()
+        assert manifest.read_text() == "{}"
+
+    def test_garbage_object_is_a_miss_not_a_crash(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store_result("ab" * 16, build_result())
+        cache.store_search("cd" * 16, {"hits": [1, 2, 3]})
+        for digest, suffix in (("ab" * 16, ".result.json"),
+                               ("cd" * 16, ".search.json")):
+            path = cache.objects / digest[:2] / f"{digest}{suffix}"
+            whole = path.read_bytes()
+            path.write_bytes(whole[: len(whole) // 2])  # truncated write
+            assert path.exists()
+        assert cache.load_result("ab" * 16) is None
+        assert cache.load_search("cd" * 16) is None
+        for path in cache.object_files():
+            path.write_bytes(b"\xff\x00 this is not json")
+        assert cache.load_result("ab" * 16) is None
+        assert cache.load_search("cd" * 16) is None
+
+    def test_evicted_entry_is_an_ordinary_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store_result("ab" * 16, build_result())
+        [path] = cache.object_files()
+        path.unlink()  # removed behind the cache's back
+        assert cache.load_result("ab" * 16) is None
+        cache.store_result("ab" * 16, build_result())
+        assert cache.load_result("ab" * 16) == build_result()
+
+    def test_concurrent_writers_never_tear(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        digest = "ef" * 16
+        expected = build_result()
+        barrier = threading.Barrier(8)
+        failures: list[Exception] = []
+
+        def write():
+            try:
+                barrier.wait()
+                cache.store_result(digest, expected)
+                loaded = cache.load_result(digest)
+                # Another writer may be mid-replace, but a reader sees
+                # a whole file or none: never a half-written one.
+                if loaded is None or loaded != expected:
+                    failures.append(AssertionError(loaded))
+            except Exception as error:  # pragma: no cover - failure path
+                failures.append(error)
+
+        threads = [threading.Thread(target=write) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert not failures
+        assert cache.load_result(digest) == expected
+        leftovers = [
+            path for path in cache.objects.rglob("*")
+            if path.is_file() and path.name.startswith(".")
+        ]
+        assert leftovers == []
 
 
 class TestKeys:

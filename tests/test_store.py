@@ -1,6 +1,6 @@
-"""Tests for ``repro.store``: artifact store + packed databases.
+"""Tests for ``repro.store``: packed databases.
 
-Four layers:
+Three layers:
 
 * the packed columnar format — content round-trip, shard windows,
   read-only surface, corruption detection;
@@ -8,35 +8,20 @@ Four layers:
   same cache keys as C itself (the property that lets materialized and
   mmap replicas share every cache entry);
 * byte-identity — search-shard scans over the packed database equal
-  the in-memory path for all three algorithms, with and without the
-  artifact store engaged;
-* the artifact store — round-trip, concurrent-writer atomicity,
-  corrupt-object-as-miss semantics, and the eviction policy shared
-  with the result cache through :class:`ContentStore`.
+  the in-memory path for all three algorithms.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import threading
 
-import numpy as np
 import pytest
 
 from repro.align.batch import SearchParams
 from repro.bio.synthetic import SyntheticDatabaseConfig, generate_database
-from repro.runtime.cache import ResultCache
 from repro.runtime.keys import search_shard_key
 from repro.runtime.tasks import execute_search_shard
-from repro.store.artifacts import (
-    ArtifactStore,
-    artifact_key,
-    handle_cache_stats,
-    reset_handle_cache,
-)
-from repro.store.base import ContentStore
 from repro.store.packdb import (
     PackedDatabaseError,
     PackedDatabaseRef,
@@ -186,162 +171,3 @@ class TestScanByteIdentity:
             assert json.dumps(in_memory, sort_keys=True) == json.dumps(
                 mapped, sort_keys=True
             )
-
-    def test_store_backed_blast_scan_identical(self, packed, tmp_path):
-        reset_handle_cache()
-        params = SearchParams(algorithm="blast", best_count=25)
-        queries = (("q0", generate_database(DB)[1].text[:36]),)
-        plain = execute_search_shard((params.key(), queries, DB, 0, 2))
-        store_root = str(tmp_path / "store")
-        for _ in range(2):  # second pass reads the persisted lookup
-            backed = execute_search_shard((
-                params.key(), queries,
-                PackedDatabaseRef(str(packed)), 0, 2, store_root,
-            ))
-            assert json.dumps(plain, sort_keys=True) == json.dumps(
-                backed, sort_keys=True
-            )
-
-
-# -- artifact store ----------------------------------------------------------
-
-
-def sample_arrays() -> dict[str, np.ndarray]:
-    return {
-        "words": np.arange(32, dtype=np.int64),
-        "weights": np.linspace(0.0, 1.0, 32),
-    }
-
-
-class TestArtifactStore:
-    def test_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = artifact_key("test", ("round-trip", 1))
-        store.store_arrays(digest, sample_arrays())
-        loaded = store.load_arrays(digest)
-        assert set(loaded) == {"words", "weights"}
-        for name, array in sample_arrays().items():
-            np.testing.assert_array_equal(loaded[name], array)
-        assert store.stats()["artifacts"] == 1
-
-    def test_keys_are_code_salted(self):
-        assert artifact_key("k", (1,)) != artifact_key("k", (2,))
-        assert artifact_key("a", (1,)) != artifact_key("b", (1,))
-
-    def test_missing_artifact_is_a_miss(self, tmp_path):
-        reset_handle_cache()
-        store = ArtifactStore(tmp_path)
-        assert store.load_arrays(artifact_key("test", "absent")) is None
-        assert handle_cache_stats()["misses"] == 1
-
-    def test_garbage_object_is_a_miss_not_a_crash(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = artifact_key("test", "garbage")
-        path = store.artifact_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"this is not a zip archive")
-        assert store.load_arrays(digest) is None
-
-    def test_checksum_mismatch_deletes_and_rebuilds(self, tmp_path):
-        reset_handle_cache()
-        store = ArtifactStore(tmp_path)
-        digest = artifact_key("test", "tampered")
-        store.store_arrays(digest, sample_arrays())
-        path = store.artifact_path(digest)
-        # A well-formed bundle whose payload no longer matches its
-        # embedded checksum: decodes fine, must still load as a miss.
-        tampered = sample_arrays()
-        with np.load(path) as archive:
-            checksum = archive["__checksum__"]
-        tampered["words"] = tampered["words"] + 1
-        np.savez(path.with_suffix(""), __checksum__=checksum, **tampered)
-        assert store.load_arrays(digest) is None
-        assert handle_cache_stats()["corrupt"] == 1
-        assert not path.exists()  # bad object removed, not left to loop
-        store.store_arrays(digest, sample_arrays())  # caller rebuilds
-        assert store.load_arrays(digest) is not None
-
-    def test_concurrent_writers_never_tear(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = artifact_key("test", "contended")
-        barrier = threading.Barrier(8)
-        failures: list[Exception] = []
-
-        def write():
-            try:
-                barrier.wait()
-                store.store_arrays(digest, sample_arrays())
-                loaded = store.load_arrays(digest)
-                if loaded is not None:
-                    np.testing.assert_array_equal(
-                        loaded["words"], sample_arrays()["words"]
-                    )
-            except Exception as error:  # pragma: no cover - failure path
-                failures.append(error)
-
-        threads = [threading.Thread(target=write) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures
-        loaded = store.load_arrays(digest)
-        np.testing.assert_array_equal(
-            loaded["words"], sample_arrays()["words"]
-        )
-        leftovers = [
-            path for path in store.objects.rglob("*")
-            if path.is_file() and path.name.startswith(".")
-        ]
-        assert leftovers == []
-
-
-# -- shared eviction policy --------------------------------------------------
-
-
-class TestSharedEviction:
-    def test_result_cache_and_artifact_store_evict_identically(
-        self, tmp_path
-    ):
-        """Both stores inherit ContentStore.evict: oldest-mtime first."""
-        cache = ResultCache(tmp_path / "cache")
-        store = ArtifactStore(tmp_path / "store")
-        assert isinstance(cache, ContentStore)
-        assert isinstance(store, ContentStore)
-        scan = {"payload": "x" * 64}
-        survivors_expected = []
-        for index in range(4):
-            digest = f"{index:02d}" + "ab" * 15
-            cache.store_search(digest, scan)
-            store.store_arrays(digest, sample_arrays())
-            for path in list(cache.object_files()) + list(
-                store.object_files()
-            ):
-                if f"/{digest[:2]}/" in str(path):
-                    os.utime(path, (index, index))
-            if index >= 2:
-                survivors_expected.append(digest)
-
-        def survivors(owner: ContentStore) -> list[str]:
-            return sorted(
-                path.name.split(".")[0]
-                for path in owner.object_files()
-            )
-
-        for owner in (cache, store):
-            sizes = sorted(
-                path.stat().st_size for path in owner.object_files()
-            )
-            budget = sizes[-1] + sizes[-2]  # room for exactly two
-            removed = owner.evict(budget)
-            assert removed.entries == 2
-            assert survivors(owner) == sorted(survivors_expected)
-
-    def test_evicted_entry_is_an_ordinary_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = artifact_key("test", "evicted")
-        store.store_arrays(digest, sample_arrays())
-        store.evict(0)
-        assert store.load_arrays(digest) is None
-        store.store_arrays(digest, sample_arrays())
-        assert store.load_arrays(digest) is not None

@@ -107,8 +107,13 @@ class TestResume:
         with ExperimentRuntime(cache_dir=cache) as runtime:
             rerun = run_sweep(spec, runtime)
             assert rerun.invalidated == [victim]
-            assert rerun.executed == [victim]
-            assert len(rerun.resumed) == 3
+            # Only the victim is re-resolved.  Its current digest is
+            # still in the result cache, so that is a cache hit and the
+            # point counts as resumed, not executed.
+            assert rerun.executed == []
+            assert rerun.resumed[-1] == victim
+            assert len(rerun.resumed) == 4
+            assert runtime.metrics.counts()["sweep_executions"] == 0
 
     def test_report_byte_identical_after_interrupt_resume(
         self, spec, tmp_path
@@ -230,6 +235,30 @@ class TestCacheIdentity:
             metrics = manifest.metrics(point)
             assert metrics["ipc"] == result.ipc
             assert metrics["cycles"] == result.cycles
+
+    def test_points_a_driver_already_simulated_count_as_resumed(
+        self, spec, tmp_path
+    ):
+        from repro.workloads.suite import WorkloadSuite
+
+        with ExperimentRuntime(cache_dir=str(tmp_path / "cache")) as runtime:
+            suite = WorkloadSuite()
+            runtime.run_workloads(suite, ("ssearch34",))
+            trace = suite.trace("ssearch34")
+            warm = expand_spec(spec)[:2]
+            runtime.simulate_many(
+                [(trace, point.config, False) for point in warm]
+            )
+            before = runtime.metrics.counts()
+            run = run_sweep(spec, runtime, suite=suite)
+            after = runtime.metrics.counts()
+        assert run.summary()["executed"] == 2
+        assert run.summary()["resumed"] == 2
+        assert run.resumed == [point.point_id for point in warm]
+        assert run.complete
+        # The summary agrees with what the runtime actually did.
+        assert after["sweep_executions"] - before["sweep_executions"] == 2
+        assert after["cache_hits"] - before["cache_hits"] == 2
 
 
 class TestFaultTolerance:
