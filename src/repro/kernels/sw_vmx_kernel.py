@@ -1,13 +1,20 @@
 """Traced SW_vmx128 / SW_vmx256 kernels: anti-diagonal SIMD SW.
 
-Runs the same Wozniak anti-diagonal algorithm as
-:func:`repro.align.simd.sw_vmx.sw_score_vmx` (scores are bit-identical,
-tested) while emitting the Altivec-style operation stream: per
+Emits the Altivec-style operation stream of the Wozniak anti-diagonal
+algorithm (:func:`repro.align.simd.sw_vmx.sw_score_vmx`): per
 wavefront step a fixed recipe of vector loads (profile gather), vector
 simple-integer ops (saturating adds/subs/maxes), vector permutes (lane
 shifts between neighbouring rows), and scalar address arithmetic — with
 loop control only at tile boundaries (listing 3's ``i += 8``/``j += 8``
 structure), which is why control instructions are ~2% of the mix.
+
+That stream depends on sequence lengths, residue codes and block
+offsets, never on a lane value, so the default templated path stamps it
+without computing the wavefront and takes each finished subject's score
+from :func:`repro.align.smith_waterman.sw_score`.  Only the scalar
+reference path (``emit_mode="scalar"``) still runs the wavefront on the
+emulated :class:`~repro.align.simd.vector.VectorUnit`; the two paths'
+traces and scores are tested byte-identical.
 
 The 256-bit variant executes half the wavefront steps but each of its
 permute and memory operations cracks into two 128-bit micro-ops (the
@@ -21,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.simd.vector import INT16_MIN, VMX128, VMX256, VectorConfig, VectorUnit
+from repro.align.simd.vector import INT16_MIN, VMX128, VectorConfig, VectorUnit
+from repro.align.smith_waterman import sw_score
 from repro.align.types import GapPenalties, PAPER_GAPS
 from repro.bio.database import SequenceDatabase
 from repro.bio.matrices import BLOSUM62, ScoringMatrix
@@ -187,19 +195,9 @@ class SwVmxKernel(TracedKernel):
         database: SequenceDatabase,
         scores: dict[str, int],
     ) -> None:
-        q = query.codes
-        m = len(q)
-        unit = VectorUnit(self.config)
-        lanes = unit.lanes
+        m = len(query.codes)
+        lanes = self.config.lanes
         cracks = self.cracks
-        gap_first = self.gaps.first_residue_cost
-        gap_extend = self.gaps.extend
-        rows = self.matrix.rows
-
-        gf_vec = unit.splat(gap_first)
-        ge_vec = unit.splat(gap_extend)
-        zero_vec = unit.zero()
-        sentinel = INT16_MIN
         template = _step_template(cracks)
 
         profile_base = builder.alloc("profile", self.matrix.size * m * 2)
@@ -232,25 +230,13 @@ class SwVmxKernel(TracedKernel):
             subject_base = db_cursor
             db_cursor += n
 
-            h_boundary = [0] * (n + 1)
-            f_boundary = [sentinel] * (n + 1)
-            best = 0
-
             r_sub = builder.ialu("drv.subj.setup")
             builder.other("drv.subj.misc", (r_sub,))
 
             s_arr = np.asarray(s, dtype=np.int64)
 
             for r0 in range(0, m, lanes):
-                block_codes = [q[r0 + k] if r0 + k < m else -1 for k in range(lanes)]
                 last_lane = min(lanes, m - r0) - 1
-                new_h_boundary = [0] * (n + 1)
-                new_f_boundary = [sentinel] * (n + 1)
-
-                v_h_prev = zero_vec.copy()
-                v_h_prev2 = zero_vec.copy()
-                v_e_prev = unit.splat(sentinel)
-                v_f_prev = unit.splat(sentinel)
 
                 r_addr0 = builder.ialu("blk.addr", (r_sub,))
                 r_qblk = emit_vload("blk.qload", profile_base + r0 * 2, (r_addr0,))
@@ -259,49 +245,8 @@ class SwVmxKernel(TracedKernel):
                 r_vf = builder.vperm("blk.sent_f", ())
                 r_vbest = r_vh
 
-                # Functional wavefront (exact) — no emissions; the whole
-                # step stream is stamped in one bulk write afterwards.
-                for t in range(1, n + lanes):
-                    subject_codes = [
-                        s[t - k - 1] if 1 <= t - k <= n else -1
-                        for k in range(lanes)
-                    ]
-                    v_e = unit.vmax(
-                        unit.subs(v_h_prev, gf_vec), unit.subs(v_e_prev, ge_vec)
-                    )
-                    carry_h = h_boundary[t] if t <= n else 0
-                    carry_f = f_boundary[t] if t <= n else sentinel
-                    v_f = unit.vmax(
-                        unit.subs(unit.shift_down(v_h_prev, carry_h), gf_vec),
-                        unit.subs(unit.shift_down(v_f_prev, carry_f), ge_vec),
-                    )
-                    carry_diag = h_boundary[t - 1] if t - 1 <= n else 0
-                    v_scores = unit.gather_scores(rows, block_codes, subject_codes)
-                    v_diag = unit.adds(
-                        unit.shift_down(v_h_prev2, carry_diag), v_scores
-                    )
-                    v_h = unit.vmax(
-                        unit.vmax(v_diag, v_e), unit.vmax(v_f, zero_vec)
-                    )
-                    for k in range(lanes):
-                        if subject_codes[k] < 0:
-                            v_h[k] = 0
-                            v_e[k] = sentinel
-                            v_f[k] = sentinel
-                    lane_best = unit.horizontal_max(v_h)
-                    if lane_best > best:
-                        best = lane_best
-
-                    j_last = t - last_lane
-                    if 1 <= j_last <= n:
-                        new_h_boundary[j_last] = unit.extract(v_h, last_lane)
-                        new_f_boundary[j_last] = unit.extract(v_f, last_lane)
-
-                    v_h_prev2 = v_h_prev
-                    v_h_prev = v_h
-                    v_e_prev = v_e
-                    v_f_prev = v_f
-
+                # The step stream depends on lengths, residue codes and
+                # block offsets only, so it is stamped in one bulk write.
                 t_arr = np.arange(1, n + lanes, dtype=np.int64)
                 min_tn = np.minimum(t_arr, n)
                 db_index = min_tn - 1
@@ -327,9 +272,6 @@ class SwVmxKernel(TracedKernel):
                     template.slot_index("best"), default=r_vbest
                 )
 
-                h_boundary = new_h_boundary
-                f_boundary = new_f_boundary
-
                 r_red = emit_vperm("blk.red_perm", (r_vbest,))
                 builder.vsimple("blk.red_max", (r_red, r_vbest))
                 r_cmp = builder.ialu("blk.cmp", (r_red,))
@@ -339,7 +281,9 @@ class SwVmxKernel(TracedKernel):
 
             r_hist = builder.ialu("drv.hist.bin", (r_sub,))
             builder.istore("drv.hist.store", hb_base, (r_hist,), size=4)
-            scores[subject.identifier] = best
+            scores[subject.identifier] = sw_score(
+                query, subject, self.matrix, self.gaps
+            )
 
     def _execute_scalar(
         self,

@@ -18,6 +18,8 @@ object on every read.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from repro.isa.opcodes import (
@@ -135,6 +137,15 @@ def decode_trace(trace: Trace) -> DecodedTrace:
     """The trace's decode plane, built once and cached on the trace."""
     decoded = trace._decoded
     if decoded is None:
-        decoded = DecodedTrace(trace)
+        # The plane is millions of int tuples and no cycles; with the
+        # cyclic collector on, those allocations set off full-heap
+        # gen-2 passes that more than double the decode time.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            decoded = DecodedTrace(trace)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         trace._decoded = decoded
     return decoded

@@ -148,3 +148,57 @@ class TestMixShape:
         v256 = create_kernel("sw_vmx256").run(query, tiny_database,
                                               record=False)
         assert v256.mix.total < v128.mix.total
+
+
+class TestSwVmxTemplatedSkipsEmulation:
+    """The templated SW_vmx path stamps its stream without the vector unit.
+
+    Its scores come from ``sw_score``; only the scalar reference path
+    still runs the wavefront on the emulated ``VectorUnit``.
+    """
+
+    @pytest.fixture
+    def no_vector_unit(self, monkeypatch):
+        class Forbidden:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("VectorUnit constructed")
+
+        monkeypatch.setattr(
+            "repro.kernels.sw_vmx_kernel.VectorUnit", Forbidden
+        )
+
+    @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_full_run_scores_match_reference(
+        self, no_vector_unit, name, record, query, tiny_database
+    ):
+        run = create_kernel(name).run(query, tiny_database, record=record)
+        assert not run.truncated
+        assert list(run.scores) == [s.identifier for s in tiny_database]
+        for subject in tiny_database:
+            assert run.scores[subject.identifier] == sw_score(query, subject)
+
+    @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
+    def test_truncated_subject_has_no_score(
+        self, no_vector_unit, name, query, tiny_database
+    ):
+        kernel = create_kernel(name)
+        total = kernel.run(query, tiny_database, record=False).mix.total
+        run = kernel.run(query, tiny_database, limit=total // 2)
+        assert run.truncated
+        done = [s.identifier for s in tiny_database][: len(run.scores)]
+        assert 0 < len(done) < len(tiny_database)
+        assert list(run.scores) == done
+        for identifier in done:
+            assert run.scores[identifier] == sw_score(
+                query, tiny_database.get(identifier)
+            )
+
+    @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
+    def test_scalar_reference_still_emulates(
+        self, no_vector_unit, name, query, tiny_database
+    ):
+        with pytest.raises(AssertionError, match="VectorUnit constructed"):
+            create_kernel(name).run(
+                query, tiny_database, limit=1500, emit_mode="scalar"
+            )

@@ -1,5 +1,7 @@
 """Behavioural tests for the out-of-order core on hand-built traces."""
 
+import gc
+
 import pytest
 
 from repro.isa.builder import TraceBuilder
@@ -10,6 +12,7 @@ from repro.uarch.config import (
     PROC_4WAY,
     PROC_8WAY,
 )
+from repro.uarch.pipeline.decode import decode_trace
 from repro.uarch.simulator import simulate
 
 
@@ -27,6 +30,21 @@ def independent_alus(count):
     for index in range(count):
         builder.ialu(f"op{index % 8}")
     return builder.build()
+
+
+class TestDecodePlane:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_decode_restores_collector_state(self, enabled):
+        trace = alu_chain(50)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            decoded = decode_trace(trace)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert decoded.n == 50
+        assert decode_trace(trace) is decoded
 
 
 class TestConservation:
