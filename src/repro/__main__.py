@@ -101,7 +101,6 @@ def _cache_command(arguments: list[str]) -> int:
         stats = cache.stats()
         print(f"cache {cache.root}: {stats.results} simulation results, "
               f"{stats.runs} kernel runs, {stats.traces} traces, "
-              f"{stats.searches} search scans, "
               f"{stats.total_bytes / 1e6:.1f} MB")
     else:
         removed = cache.clean()

@@ -139,4 +139,8 @@ def run_experiment(
             f"unknown experiment {identifier!r}; "
             f"available: {sorted(EXPERIMENTS)}"
         ) from None
-    return runner(context or ExperimentContext())
+    if context is not None:
+        return runner(context)
+    context = ExperimentContext()
+    with context.runtime:  # drops the runtime's temporary cache
+        return runner(context)

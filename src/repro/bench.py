@@ -593,7 +593,20 @@ def format_cluster(cluster: dict[str, Any]) -> str:
 
 
 def write_report(report: dict[str, Any], path: str) -> None:
-    """Write the report as stable, diffable JSON."""
+    """Write the report as stable, diffable JSON.
+
+    A top-level section the file already holds and this report did not
+    measure is carried over: a core-only run keeps the recorded
+    ``cluster`` section, and a cluster-only run keeps ``metrics`` and
+    the reference speedups.
+    """
+    try:
+        with open(path, encoding="utf-8") as stream:
+            previous = json.load(stream)
+    except (OSError, ValueError):
+        previous = None
+    if isinstance(previous, dict):
+        report = {**previous, **report}
     with open(path, "w", encoding="utf-8") as stream:
         json.dump(report, stream, indent=2, sort_keys=True)
         stream.write("\n")

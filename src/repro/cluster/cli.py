@@ -53,8 +53,6 @@ def _serve_flags(args: argparse.Namespace) -> tuple[str, ...]:
         "--drain-grace", str(args.drain_grace),
         "--precompute" if args.precompute else "--no-precompute",
     ]
-    if args.cache_dir:
-        flags += ["--cache-dir", args.cache_dir]
     if getattr(args, "db_path", None):
         flags += ["--db-path", args.db_path]
     return tuple(flags)

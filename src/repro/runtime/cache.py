@@ -40,7 +40,6 @@ from repro.uarch.results import BranchResult, CacheResult, SimulationResult
 RESULT_SUFFIX = ".result.json"
 RUN_SUFFIX = ".run.json"
 TRACE_SUFFIX = ".trace.npz"
-SEARCH_SUFFIX = ".search.json"
 
 
 def result_to_dict(result: SimulationResult) -> dict:
@@ -108,19 +107,18 @@ class CacheStats:
     runs: int
     traces: int
     total_bytes: int
-    searches: int = 0
 
     @property
     def entries(self) -> int:
         """Total artifact count."""
-        return self.results + self.runs + self.traces + self.searches
+        return self.results + self.runs + self.traces
 
 
 class ResultCache:
     """Content-addressed result store rooted at one directory.
 
-    Holds simulation results, kernel-run sidecars, spilled traces and
-    search-shard scans under ``objects/`` (see the module docstring).
+    Holds simulation results, kernel-run sidecars and spilled traces
+    under ``objects/`` (see the module docstring).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -212,24 +210,6 @@ class ResultCache:
             check_trace(trace, expected_digest=content_digest)
         return trace
 
-    # -- search shard scans ---------------------------------------------------
-
-    def load_search(self, digest: str) -> dict | None:
-        """Cached shard-scan dict (see ``ShardScan.to_dict``), or None."""
-        path = self._path(digest, SEARCH_SUFFIX)
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-
-    def store_search(self, digest: str, scan: dict) -> None:
-        """Persist one per-query shard scan under its digest."""
-        payload = json.dumps(scan)
-        self._write_atomic(
-            self._path(digest, SEARCH_SUFFIX),
-            lambda path: path.write_text(payload),
-        )
-
     # -- kernel runs (trace task results) -----------------------------------
 
     def store_kernel_run(
@@ -280,7 +260,7 @@ class ResultCache:
 
     def stats(self) -> CacheStats:
         """Count entries and bytes (for ``repro cache stats``)."""
-        suffixes = (RESULT_SUFFIX, RUN_SUFFIX, TRACE_SUFFIX, SEARCH_SUFFIX)
+        suffixes = (RESULT_SUFFIX, RUN_SUFFIX, TRACE_SUFFIX)
         counts = dict.fromkeys(suffixes, 0)
         total = 0
         for path in self.object_files():
@@ -297,7 +277,6 @@ class ResultCache:
             runs=counts[RUN_SUFFIX],
             traces=counts[TRACE_SUFFIX],
             total_bytes=total,
-            searches=counts[SEARCH_SUFFIX],
         )
 
     def clean(self) -> CacheStats:

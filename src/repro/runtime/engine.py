@@ -6,8 +6,11 @@ It decomposes campaign work into ``trace(workload)`` and
 content-addressed cache first, and fans the misses out on the
 configured executor.  Without an explicit ``cache_dir`` the cache lives
 in a temporary directory for the runtime's lifetime (still used to ship
-traces to workers); with one, results survive across processes and a
-warm rerun executes nothing.
+traces to workers and to answer repeated points within the run); with
+one, results survive across processes and a warm rerun executes
+nothing.  ``ExperimentRuntime()`` — serial executor, temporary cache —
+is what a bare :class:`~repro.analysis.context.ExperimentContext` runs
+on.
 """
 
 from __future__ import annotations
@@ -103,9 +106,8 @@ class ExperimentRuntime:
             )
         else:
             self.executor = SerialExecutor()
-        # In-process memo over the persistent search-scan entries:
-        # serving workloads probe the same digests thousands of times,
-        # and a dict hit skips the disk read + JSON decode entirely.
+        # The one cache of search-shard scans: serving workloads probe
+        # the same digests thousands of times within a replica's life.
         self._scan_memo: dict[str, ShardScan] = {}
         self._scan_memo_cap = 4096
 
@@ -275,11 +277,10 @@ class ExperimentRuntime:
         Each request is ``(params, query, database_config, shard_index,
         shard_count)``; results come back in request order.  Duplicate
         requests execute once, cached scans are served from the
-        in-process memo (and from disk when the cache is persistent), and
-        misses that share ``(params, shard)`` coordinates are grouped
-        into one multi-query task so BLAST batches share a single pass
-        over the shard and workers amortize database generation and
-        engine compilation.
+        in-process memo, and misses that share ``(params, shard)``
+        coordinates are grouped into one multi-query task so BLAST
+        batches share a single pass over the shard and workers amortize
+        database generation and engine compilation.
         """
         results: list[ShardScan | None] = [None] * len(requests)
         digest_indices: dict[str, list[int]] = {}
@@ -299,11 +300,6 @@ class ExperimentRuntime:
                 continue
             start = time.perf_counter()
             scan = self._scan_memo.get(digest)
-            if scan is None and self.persistent:
-                cached = self.cache.load_search(digest)
-                if cached is not None:
-                    scan = ShardScan.from_dict(cached)
-                    self._remember_scan(digest, scan)
             if scan is not None:
                 digest_indices[digest] = [index]
                 results[index] = scan
@@ -351,11 +347,6 @@ class ExperimentRuntime:
                 outcome.retries, outcome.where,
             )
             for digest, scan_dict in zip(digests, outcome.value["scans"]):
-                if self.persistent:
-                    # An ephemeral cache dies with the runtime, so the
-                    # serving hot path skips the disk round-trip and
-                    # reuses scans through the in-process memo alone.
-                    self.cache.store_search(digest, scan_dict)
                 scan = ShardScan.from_dict(scan_dict)
                 self._remember_scan(digest, scan)
                 for index in digest_indices[digest]:

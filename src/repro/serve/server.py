@@ -3,7 +3,7 @@
 :class:`AlignmentService` wires the pipeline together — admission
 control -> dynamic batching -> sharded pool scan -> merged ranked
 results — around one :class:`~repro.runtime.engine.ExperimentRuntime`
-(the worker pool + persistent cache).  Transports are thin: a TCP
+(the worker pool + in-process scan memo).  Transports are thin: a TCP
 JSON-lines server (each line handled as its own task, so one slow
 search never blocks a pipelining client) and a stdin/stdout mode for
 shell-driven use.
@@ -62,7 +62,6 @@ class ServeConfig:
     queue_capacity: int = 64
     policy: BatchPolicy = field(default_factory=BatchPolicy)
     default_timeout: float | None = 30.0
-    cache_dir: str | None = None
     #: Expand the full BLAST neighborhood table in every worker at
     #: startup (~0.6 s per worker once) so query compiles on the hot
     #: path degrade to memo lookups.  The CLI turns this on; tests
@@ -113,10 +112,7 @@ class AlignmentService:
     async def start(self) -> None:
         """Bring up the runtime pool and the batching loop."""
         config = self.config
-        self.runtime = ExperimentRuntime(
-            jobs=config.jobs,
-            cache_dir=config.cache_dir,
-        )
+        self.runtime = ExperimentRuntime(jobs=config.jobs)
         if config.database_path is not None:
             from repro.store.packdb import PackedDatabaseRef, open_packed
 
@@ -376,7 +372,6 @@ def build_config(args) -> ServeConfig:
             max_batch=args.batch_size, max_wait=args.max_wait
         ),
         default_timeout=args.timeout if args.timeout > 0 else None,
-        cache_dir=args.cache_dir,
         precompute=args.precompute,
         replica=getattr(args, "replica_label", None),
         drain_grace=getattr(args, "drain_grace", 30.0),
@@ -423,10 +418,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="packed database directory (repro store pack-db); "
              "replaces --db-sequences/--db-seed and mmaps the "
              "snapshot instead of generating a private copy",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persistent scan cache directory (default: ephemeral)",
     )
     parser.add_argument(
         "--precompute", action=argparse.BooleanOptionalAction,

@@ -109,10 +109,15 @@ class WorkloadSuite:
     ) -> dict[str, Trace]:
         """Traces over the *same database slice* for fair comparisons.
 
-        The slice is chosen so the costliest workload stays within the
-        budget; every other workload then traces the same sequences in
-        full (Fig. 8's vmx128-vs-vmx256 speedups need equal work, not
-        equal trace length).
+        The slice is the leading subjects of the database, as many as
+        the named workload that finishes the fewest subjects within the
+        budget finishes, floored at 1.  Every workload then traces that
+        slice in full, without a limit (Fig. 8's vmx128-vs-vmx256
+        speedups need equal work, not equal trace length).  A budget
+        that finishes no subject therefore yields the first subject
+        traced in full, whatever its length: at ``REPRO_SCALE`` 0.01 and
+        1 both SW_vmx budget runs finish 0 subjects, so Fig. 8 traces
+        the default database's first subject (1,494 residues).
         """
         budget = self.trace_budget if budget is None else budget
         slice_sizes = []

@@ -106,3 +106,50 @@ class TestBenchCheckCli:
         monkeypatch.setattr(bench, "COMMITTED_BASELINE", baseline)
         assert cli.main(["bench", "--quick", "--check"]) == 0
         assert "no regression" in capsys.readouterr().out
+
+
+class TestBenchOutKeepsSections:
+    """``repro bench --out FILE`` rewrites only what the run measured."""
+
+    def test_core_run_keeps_recorded_cluster_section(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.bench as bench
+
+        out = tmp_path / "BENCH_core.json"
+        out.write_text(json.dumps({
+            "mode": "full", "metrics": {"simulate": {"ips": 1}},
+            "cluster": {"cold_start_speedup": 4.0},
+        }))
+        monkeypatch.setattr(bench, "run_bench", lambda quick=False: {
+            "mode": "quick", "workload": "ssearch34",
+            "metrics": dict(REPORT["metrics"]),
+            "speedup_vs_reference": {"simulate": 2.0},
+        })
+        assert cli.main(["bench", "--quick", "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written["cluster"] == {"cold_start_speedup": 4.0}
+        assert written["metrics"] == REPORT["metrics"]
+        assert written["mode"] == "quick"
+
+    def test_cluster_only_run_keeps_core_sections(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.bench as bench
+
+        recorded = {
+            "mode": "full", "workload": "ssearch34",
+            "metrics": dict(REPORT["metrics"]),
+            "reference_ips": {"simulate": 50},
+            "speedup_vs_reference": {"simulate": 2.0},
+            "cluster": {"cold_start_speedup": 4.0},
+        }
+        out = tmp_path / "BENCH_core.json"
+        out.write_text(json.dumps(recorded))
+        monkeypatch.setattr(
+            bench, "bench_cluster", lambda: {"cold_start_speedup": 5.0}
+        )
+        monkeypatch.setattr(bench, "format_cluster", lambda cluster: "")
+        assert cli.main(["bench", "--cluster-only", "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written == dict(recorded, cluster={"cold_start_speedup": 5.0})

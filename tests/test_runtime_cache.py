@@ -148,19 +148,12 @@ class TestResultCache:
     def test_garbage_object_is_a_miss_not_a_crash(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store_result("ab" * 16, build_result())
-        cache.store_search("cd" * 16, {"hits": [1, 2, 3]})
-        for digest, suffix in (("ab" * 16, ".result.json"),
-                               ("cd" * 16, ".search.json")):
-            path = cache.objects / digest[:2] / f"{digest}{suffix}"
-            whole = path.read_bytes()
-            path.write_bytes(whole[: len(whole) // 2])  # truncated write
-            assert path.exists()
+        path = cache.objects / "ab" / f"{'ab' * 16}.result.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])  # truncated write
         assert cache.load_result("ab" * 16) is None
-        assert cache.load_search("cd" * 16) is None
-        for path in cache.object_files():
-            path.write_bytes(b"\xff\x00 this is not json")
+        path.write_bytes(b"\xff\x00 this is not json")
         assert cache.load_result("ab" * 16) is None
-        assert cache.load_search("cd" * 16) is None
 
     def test_evicted_entry_is_an_ordinary_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

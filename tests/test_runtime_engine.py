@@ -11,7 +11,8 @@ from repro.analysis.context import ExperimentContext
 from repro.analysis.stalls import fig2_report, fig2_stalls
 from repro.bio.synthetic import SyntheticDatabaseConfig
 from repro.runtime.engine import ExperimentRuntime
-from repro.runtime.executor import KillFirstN
+from repro.runtime.executor import KillFirstN, SerialExecutor
+from repro.runtime.keys import trace_digest
 from repro.uarch.config import ME1, ME2, PROC_4WAY
 from repro.uarch.simulator import simulate
 from repro.workloads.suite import WorkloadSuite
@@ -147,15 +148,41 @@ class TestFaultTolerantCampaign:
 
 
 class TestContextIntegration:
+    def test_bare_context_runs_on_a_serial_runtime(self):
+        context = ExperimentContext()
+        assert isinstance(context.runtime, ExperimentRuntime)
+        assert isinstance(context.runtime.executor, SerialExecutor)
+        assert context.runtime.jobs == 1
+
     def test_simulate_many_without_runtime(self, shared_suite):
+        # A context built without a runtime argument resolves through
+        # its default serial runtime, with the values of direct
+        # simulator calls.
         context = ExperimentContext(suite=shared_suite)
         trace = shared_suite.trace("blast")
         config = PROC_4WAY.with_memory(ME1)
         results = context.simulate_many(
             [(trace, config), (trace, config, True)]
         )
-        assert results[0] == context.simulate_trace(trace, config)
+        assert results == [
+            simulate(trace, config),
+            simulate(trace, config, track_occupancy=True),
+        ]
         assert results[1].queue_occupancy
+        assert context.simulate_trace(trace, config) == results[0]
+
+    def test_repeat_point_is_one_execution_and_one_cache_hit(
+        self, shared_suite
+    ):
+        context = ExperimentContext(suite=shared_suite)
+        trace = shared_suite.trace("fasta34")
+        config = PROC_4WAY.with_memory(ME2)
+        [first] = context.simulate_many([(trace, config)])
+        [second] = context.simulate_many([(trace, config)])
+        counts = context.runtime.metrics.counts()
+        assert counts["simulate_executions"] == 1
+        assert counts["cache_hits"] == 1
+        assert first == second == simulate(trace, config)
 
     def test_memo_keys_on_trace_content_not_identity(
         self, shared_suite, monkeypatch
@@ -181,5 +208,13 @@ class TestContextIntegration:
             simulate(second, config)
         ]
 
-    def test_prefetch_workloads_without_runtime_is_noop(self, shared_suite):
-        ExperimentContext(suite=shared_suite).prefetch_workloads()
+    def test_prefetch_workloads_fills_suite_cache(self):
+        suite = tiny_suite()
+        expected = tiny_suite().run("blast")
+        context = ExperimentContext(suite=suite)
+        context.prefetch_workloads(("blast",))
+        run = suite.cached_run("blast")
+        assert run is not None
+        assert run.mix == expected.mix
+        assert trace_digest(run.trace) == trace_digest(expected.trace)
+        assert context.runtime.metrics.counts()["trace_executions"] == 1

@@ -53,6 +53,25 @@ class TestSuite:
         # Same database slice: the 256-bit trace must be shorter.
         assert len(traces["sw_vmx256"]) < len(traces["sw_vmx128"])
 
+    def test_paired_traces_cover_first_subject_in_full(self, small_suite):
+        # Neither SW_vmx budget run finishes a subject here, so the
+        # slice is floored at 1 and each kernel traces that subject
+        # without a limit.
+        from repro.kernels.registry import create_kernel
+        from repro.runtime.keys import trace_digest
+
+        names = ("sw_vmx128", "sw_vmx256")
+        assert [small_suite.run(name).subjects_processed
+                for name in names] == [0, 0]
+        traces = small_suite.paired_traces(names)
+        sliced = small_suite.database.slice(1)
+        for name in names:
+            full = create_kernel(name).run(
+                small_suite.query, sliced, record=True, limit=None
+            )
+            assert not full.truncated
+            assert trace_digest(traces[name]) == trace_digest(full.trace)
+
     def test_scale_factor_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert scale_factor() == 1.0
