@@ -509,40 +509,21 @@ def _lint_code_command(arguments: list[str]) -> int:
 
 
 def _lint_flow_command(arguments: list[str]) -> int:
-    from repro.verify.flow import (
-        FLOW_RULES,
-        build_graph,
-        graph_json,
-        lint_flow,
-    )
+    from repro.verify.flow import FLOW_RULES, build_graph, lint_flow
 
     parser = argparse.ArgumentParser(
         prog="python -m repro lint-flow",
         description="Whole-repo call-graph + dataflow lint "
-        "(FL001-FL005, see docs/verify.md): interprocedural proofs of "
-        "cache-key soundness, fork-shared-state safety, determinism "
-        "of cached tasks, and event-loop blocking reachability over "
-        "src/repro.",
+        f"({', '.join(FLOW_RULES)}, see docs/verify.md): interprocedural "
+        "proofs of determinism of cached tasks, fork-shared-state "
+        "safety, event-loop blocking reachability, and cache-key "
+        "salting of environment reads over src/repro.",
     )
     parser.add_argument(
         "--rules", metavar="FL00x[,FL00y]",
         help="comma-separated rule subset (default: all)",
     )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="fan the per-module scan out over N pool workers",
-    )
-    parser.add_argument(
-        "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
-        help="cache the linked graph pickle keyed by source digest "
-        "(warm runs skip the whole-repo scan)",
-    )
     parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument(
-        "--graph-json", metavar="PATH",
-        help="dump the symbol table + call graph as JSON "
-        "('-' for stdout)",
-    )
     try:
         options = parser.parse_args(arguments)
     except SystemExit as exit_:
@@ -560,39 +541,12 @@ def _lint_flow_command(arguments: list[str]) -> int:
                   f"known: {' '.join(FLOW_RULES)}", file=sys.stderr)
             return 2
 
-    runtime = None
-    if options.jobs > 1:
-        from repro.runtime.engine import ExperimentRuntime
-
-        runtime = ExperimentRuntime(
-            jobs=options.jobs, cache_dir=options.cache_dir
-        )
-    try:
-        graph = build_graph(
-            cache_dir=options.cache_dir, runtime=runtime
-        )
-    finally:
-        if runtime is not None:
-            runtime.close()
-
-    # With --graph-json -, stdout *is* the graph document; the report
-    # below moves to stderr so the stream stays machine-parseable.
-    report_stream = sys.stdout
-    if options.graph_json:
-        dump = json.dumps(graph_json(graph), indent=2, sort_keys=True)
-        if options.graph_json == "-":
-            print(dump)
-            report_stream = sys.stderr
-        else:
-            with open(options.graph_json, "w") as stream:
-                stream.write(dump + "\n")
-
+    graph = build_graph()
     violations = lint_flow(graph=graph, rules=rules)
     edge_count = sum(len(out) for out in graph.edges.values())
-    source = "warm cache" if graph.from_cache else "cold scan"
     stats = (
         f"{graph.modules} modules, {len(graph.functions)} functions, "
-        f"{edge_count} call edges ({source}, {graph.built_seconds:.2f}s)"
+        f"{edge_count} call edges ({graph.built_seconds:.2f}s)"
     )
     if options.as_json:
         print(json.dumps({
@@ -602,19 +556,18 @@ def _lint_flow_command(arguments: list[str]) -> int:
                 "modules": graph.modules,
                 "functions": len(graph.functions),
                 "edges": edge_count,
-                "from_cache": graph.from_cache,
                 "built_seconds": graph.built_seconds,
                 "digest": graph.digest,
             },
             "violations": [v.to_dict() for v in violations],
-        }, indent=2), file=report_stream)
+        }, indent=2))
     else:
         for violation in violations:
-            print(violation, file=report_stream)
+            print(violation)
         if violations:
-            print(f"{len(violations)} violation(s)  [{stats}]", file=report_stream)
+            print(f"{len(violations)} violation(s)  [{stats}]")
         else:
-            print(f"flowlint: clean  [{stats}]", file=report_stream)
+            print(f"flowlint: clean  [{stats}]")
     return 1 if violations else 0
 
 

@@ -17,8 +17,8 @@ Writes go through a same-directory temporary file plus
 (last write wins with identical bytes) and readers never see a torn
 file; a missing or unreadable entry loads as a miss.  Maintenance
 (``stats``/``clean``) touches only the ``objects/`` tree, so the cache
-root can host sidecar state — sweep manifests, flow-graph pickles —
-without the cleaner removing it.
+root can host sidecar state — sweep manifests — without the cleaner
+removing it.
 """
 
 from __future__ import annotations

@@ -85,16 +85,14 @@ class ExperimentRuntime:
         self.cache = ResultCache(cache_dir)
         if strict:
             # Strict runs also prove the *code* sound before spending
-            # compute on it: the whole-repo flow rules (FL001-FL005,
-            # docs/verify.md) run once per process per source state and
-            # raise FlowLintError on any violation.  A cached task
-            # whose body can reach nondeterminism, or a config field
-            # that escapes the cache key, would poison every result
-            # this runtime caches.  The linked graph pickle lands in
-            # the runtime's own cache dir, so repeat strict runs warm.
+            # compute on it: the whole-repo flow rules (docs/verify.md)
+            # run once per process per source state and raise
+            # FlowLintError on any violation.  A cached task whose body
+            # can reach nondeterminism or an unsalted environment read
+            # would poison every result this runtime caches.
             from repro.verify.flow import check_flow
 
-            check_flow(cache_dir=cache_dir)
+            check_flow()
         if executor is not None:
             self.executor = executor
         elif jobs > 1:

@@ -63,12 +63,6 @@ Kinds
     BLAST's shipped neighbor tables).  The serving layer dispatches
     one per worker at startup so later query compiles are memo
     lookups.
-``flow_facts``
-    ``(path, relative, module, is_package, spec)`` — scans one module's
-    source into :class:`repro.verify.flow.ModuleFacts` (symbol table,
-    raw call descriptors, dataflow facts).  ``repro lint-flow --jobs N``
-    fans the whole-repo scan out over the pool; linking stays in the
-    parent.
 ``selftest``
     Tiny deterministic operations used by the executor's test suite and
     fault-injection scenarios.
@@ -241,15 +235,6 @@ def execute_precompute_words(payload: tuple) -> dict:
     }
 
 
-def execute_flow_facts(payload: tuple):
-    from repro.verify.flow import scan_module
-
-    path, relative, module, is_package, spec = payload
-    return scan_module(
-        Path(path).read_text(), relative, module, is_package, spec
-    )
-
-
 def execute_selftest(payload: tuple):
     operation, *arguments = payload
     if operation == "square":
@@ -290,7 +275,6 @@ TASK_KINDS = {
     "lint": execute_lint,
     "search_shard": execute_search_shard,
     "precompute_words": execute_precompute_words,
-    "flow_facts": execute_flow_facts,
     "selftest": execute_selftest,
 }
 

@@ -77,8 +77,8 @@ class DecodedTrace:
     """
 
     __slots__ = (
-        "n", "op", "fu", "latency", "regfile", "is_load", "is_store",
-        "is_branch", "is_memory", "is_vload", "has_dest", "line", "pc",
+        "n", "fu", "latency", "regfile", "is_load", "is_store",
+        "is_branch", "is_memory", "is_vload", "line", "pc",
         "address", "size", "taken", "target", "words", "sources",
     )
 
@@ -87,7 +87,6 @@ class DecodedTrace:
         ops = columns["ops"]
         n = len(ops)
         self.n = n
-        self.op = ops.tolist()
         self.fu = _FU_TABLE[ops].tolist()
         self.latency = _LATENCY_TABLE[ops].tolist()
         self.regfile = _REGFILE_TABLE[ops].tolist()
@@ -99,7 +98,6 @@ class DecodedTrace:
         self.is_branch = (ops == OpClass.CTRL).tolist()
         self.is_memory = is_memory.tolist()
         self.is_vload = (ops == OpClass.VLOAD).tolist()
-        self.has_dest = columns["dests"].astype(bool).tolist()
         pcs = columns["pcs"]
         self.line = (pcs >> FETCH_LINE_SHIFT).tolist()
         self.pc = pcs.tolist()

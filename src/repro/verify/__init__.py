@@ -17,13 +17,16 @@ Four layers:
   rules (SW001-SW007) for declarative sweep specs, run at spec load
   time so a campaign fails before any task executes.
 * **FlowLint** (:mod:`repro.verify.flow`): whole-repo call-graph +
-  dataflow rules (FL001-FL005) — interprocedural proofs that cached
-  task bodies cannot reach nondeterminism, every config field read
-  under simulate flows into the cache key, fork-shared planes stay
-  read-only in workers, serve coroutines cannot reach blocking calls,
-  and environment reads feeding cached results are key-salted.
+  dataflow rules (FL001, FL003-FL005) — interprocedural proofs that
+  cached task bodies cannot reach nondeterminism, fork-shared planes
+  stay read-only in workers, serve coroutines cannot reach blocking
+  calls, and environment reads feeding cached results are key-salted.
   Exposed as ``python -m repro lint-flow`` and the
   ``ExperimentRuntime(strict=True)`` hook.
+
+Cache-key completeness is proven dynamically, not by a lint rule:
+:mod:`repro.verify.guards` mutates every field of every config
+dataclass and requires ``runtime.keys.config_key`` to change.
 
 See ``docs/verify.md`` for the rule catalogue and suppression syntax.
 """

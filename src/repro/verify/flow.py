@@ -1,12 +1,12 @@
-"""FlowLint: whole-repo call-graph + dataflow analysis (FL001-FL005).
+"""FlowLint: whole-repo call-graph + dataflow analysis (FL001, FL003-FL005).
 
 The single-function AST layers (RepoLint, TraceLint, SweepLint) cannot
 see across calls: a wall-clock read two helpers below a cached task
-body, a configuration field read deep in the cache model but absent
-from the cache key, or a ``time.sleep`` hidden inside a synchronous
-helper a serve coroutine calls are all invisible to per-file pattern
-matching.  This module builds a *whole-repo* model and checks
-reachability and dataflow properties over it:
+body, a trace-plane write in a helper a fork worker calls, or a
+``time.sleep`` hidden inside a synchronous helper a serve coroutine
+calls are all invisible to per-file pattern matching.  This module
+builds a *whole-repo* model and checks reachability and dataflow
+properties over it:
 
 1. a **module symbol table** — every function, method, class (with
    bases), module-level dispatch table, and re-export under
@@ -24,7 +24,7 @@ reachability and dataflow properties over it:
    (``ProcessorConfig`` and friends) and the fork-shared plane classes
    through assignments, attribute reads, and nested functions.
 
-On top of the graph, five interprocedural rule families:
+On top of the graph, four interprocedural rule families:
 
 =======  =============================================================
 FL001    nondeterminism reachable from a cached task body: any
@@ -33,13 +33,6 @@ FL001    nondeterminism reachable from a cached task body: any
          ``lint``, ...) that can reach an unseeded RNG, a wall-clock
          read, or unsorted set iteration.  Interprocedural REP001
          (which still checks the modules no cached task reaches).
-FL002    cache-key soundness: every configuration-dataclass field
-         read anywhere under the simulate call graph must also be
-         read by ``runtime.keys.config_key``; a field that influences
-         simulation but escapes the key aliases distinct
-         configurations onto one cache entry.  The mutation guards in
-         :mod:`repro.verify.guards` cover *declared* fields; FL002
-         covers *used* ones.
 FL003    fork-shared-state safety: writes to instances of the trace
          and decode plane classes (or cross-module global mutation)
          from code reachable in fork workers.  Pre-fork planes are
@@ -59,24 +52,24 @@ FL005    environment-influence escape: an environment variable read
          entries produced under different environments.
 =======  =============================================================
 
+FL002 is retired and its id is not reused: it checked statically that
+``config_key`` reads every config field the simulator reads, and the
+mutation guards in :mod:`repro.verify.guards` prove more — that
+changing any field of any config dataclass changes the key.
+
 Suppression: append ``# flowlint: disable=FL00x`` to the *offending*
 line (where the violation anchors), or ``# flowlint:
 disable-file=FL00x`` anywhere in the file — the same machinery as
 RepoLint (:func:`repro.verify.repolint.suppression_maps`).
 
-The graph is picklable and content-addressed: :func:`build_graph`
-caches the linked graph under ``<cache-dir>/flow/`` keyed by a digest
-of every source file, so warm runs (CI re-runs, ``--strict``
-experiment starts) skip the whole-repo scan.  ``repro lint-flow``
-is the CLI; ``--jobs N`` fans the per-module scan out over the
-runtime worker pool via the ``flow_facts`` task kind.
+``repro lint-flow`` is the CLI; a whole-repo scan takes about two
+seconds, so every run scans serially from source.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,14 +81,8 @@ from repro.verify.repolint import (
     suppression_maps,
 )
 
-#: Bump when the analysis itself changes shape: cached graphs carry the
-#: version in their content digest, so stale pickles self-invalidate.
-ENGINE_VERSION = 2
-
 FLOW_RULES: dict[str, str] = {
     "FL001": "nondeterminism reachable from a cached task body",
-    "FL002": "config field read under simulate but absent from the "
-             "cache key",
     "FL003": "write to pre-fork shared state from fork-worker code",
     "FL004": "blocking call reachable from a serve coroutine",
     "FL005": "environment read reaching cached results without key "
@@ -108,13 +95,6 @@ _TASK_TABLE = "TASK_KINDS"
 #: Task functions whose results never enter the content-addressed
 #: cache (the executor's own test scaffolding may sleep/exit freely).
 _UNCACHED_TASKS = {"execute_selftest"}
-#: The cached tasks that run the simulator (FL002's root set).
-_SIM_TASKS = {
-    "execute_simulate", "execute_simulate_batch",
-    "execute_sweep_point", "execute_sweep_batch",
-}
-#: The single definition of configuration → cache-key coverage.
-_KEY_FUNCTION = "repro.runtime.keys.config_key"
 #: Key builders: environment reads reachable from these are "salted".
 _KEY_ROOTS = (
     "repro.runtime.keys.simulate_key",
@@ -184,7 +164,9 @@ class TaintSpec:
 
     ``config_fields`` maps a dataclass qualname to its declared fields
     (field name → the taint-class qualname of the field's own type, or
-    ``None`` for leaves); reads of these fields feed FL002.
+    ``None`` for leaves); it types values reached through nested
+    configs (``config.memory.dl1``) so their method and property calls
+    resolve in the call graph.
     ``name_seeds`` are parameter-name conventions used when a
     parameter carries no annotation.  ``shared`` maps fork-shared
     plane classes to the modules allowed to write them (FL003).
@@ -305,7 +287,7 @@ def default_taint_spec(package_root: Path | None = None) -> TaintSpec:
 
 
 # ----------------------------------------------------------------------
-# Per-function facts (plain data: the graph must pickle)
+# Per-function facts
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -325,8 +307,6 @@ class FunctionFacts:
     nondet: list[tuple[int, str]] = field(default_factory=list)
     blocking: list[tuple[int, str]] = field(default_factory=list)
     env_reads: list[tuple[int, str | None]] = field(default_factory=list)
-    #: (line, class qualname, field) — config-dataclass field reads.
-    field_reads: list[tuple[int, str, str]] = field(default_factory=list)
     #: (line, class qualname, attr) — writes on tainted instances.
     tainted_writes: list[tuple[int, str, str]] = field(default_factory=list)
     #: (line, name, owning module) — module-global mutation.
@@ -601,7 +581,6 @@ class _FunctionScanner:
         self.dispatch_env: dict[str, str] = {}
         #: (attr, taint) assignments to ``self`` (attr-taint pre-pass).
         self.self_assignments: list[tuple[str, str | None]] = []
-        self.field_reads: set[tuple[int, str, str]] = set()
         self.tainted_writes: set[tuple[int, str, str]] = set()
         self.global_names: set[str] = set()
         self._globals_out: set[tuple[int, str, str]] = set()
@@ -651,10 +630,7 @@ class _FunctionScanner:
                 return None
             fields = self.spec.config_fields.get(base)
             if fields is not None:
-                if node.attr in fields:
-                    self.field_reads.add((node.lineno, base, node.attr))
-                    return fields[node.attr]
-                return None
+                return fields.get(node.attr)
             return self.owner.class_attr_taints.get(base, {}).get(node.attr)
         if isinstance(node, ast.Call):
             func = node.func
@@ -802,7 +778,6 @@ class _FunctionScanner:
         facts.nondet = self._nondet()
         facts.blocking = blocking_findings(self.node, self.owner.rep_aliases)
         self._walk_effects(facts)
-        facts.field_reads = sorted(self.field_reads)
         facts.tainted_writes = sorted(self.tainted_writes)
         facts.global_writes = sorted(
             set(facts.global_writes) | self._globals_out
@@ -894,21 +869,14 @@ class _FunctionScanner:
             elif isinstance(node, ast.Attribute) and isinstance(
                 node.ctx, ast.Load
             ):
-                # Every attribute load on a typed receiver: a declared
-                # dataclass field becomes a field read (the taint pass
-                # only sees assignment positions; this catches reads
-                # embedded in tuples, call arguments, f-strings, ...),
-                # anything else a typed call edge so property reads
-                # resolve through the graph.
+                # Every attribute load on a typed receiver that is not
+                # a declared dataclass field becomes a typed call edge,
+                # so property reads resolve through the graph.
                 receiver = self._eval_quiet(node.value, awaited_env)
                 if receiver is None:
                     continue
                 fields = self.spec.config_fields.get(receiver)
-                if fields is not None and node.attr in fields:
-                    self.field_reads.add(
-                        (node.lineno, receiver, node.attr)
-                    )
-                else:
+                if fields is None or node.attr not in fields:
                     facts.calls.append(
                         ("typed", (receiver, node.attr), node.lineno)
                     )
@@ -1108,7 +1076,7 @@ def scan_module(
 
 @dataclass
 class FlowGraph:
-    """The linked whole-repo model (picklable, content-addressed)."""
+    """The linked whole-repo model."""
 
     source_root: str
     package: str
@@ -1120,7 +1088,6 @@ class FlowGraph:
     edges: dict[str, list[tuple[str, int]]]
     modules: int = 0
     built_seconds: float = 0.0
-    from_cache: bool = False
 
     def callees(self, qualname: str) -> list[str]:
         return sorted({callee for callee, _ in self.edges.get(qualname, [])})
@@ -1274,9 +1241,8 @@ def _iter_sources(package_root: Path) -> list[tuple[Path, str, str, bool]]:
 
 
 def source_digest(package_root: Path) -> str:
-    """Content address of the analysis input (sources + engine)."""
+    """Content address of the analysed sources."""
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(f"flow-engine-v{ENGINE_VERSION}".encode())
     for path, relative, _, _ in _iter_sources(package_root):
         digest.update(relative.encode())
         digest.update(path.read_bytes())
@@ -1287,102 +1253,21 @@ def build_graph(
     package_root: Path | None = None,
     *,
     spec: TaintSpec | None = None,
-    cache_dir: str | Path | None = None,
-    runtime=None,
 ) -> FlowGraph:
-    """Scan + link the package; reuse a pickled graph when unchanged.
-
-    ``runtime`` is an :class:`repro.runtime.engine.ExperimentRuntime`:
-    when given (and parallel), per-module scans fan out over its worker
-    pool via the ``flow_facts`` task kind.  ``cache_dir`` stores the
-    linked graph under ``flow/graph-<digest>.pkl``; a warm invocation
-    with unchanged sources skips the scan entirely.
-    """
+    """Scan every module of the package and link the call graph."""
     start = time.perf_counter()
     root = PACKAGE_ROOT if package_root is None else Path(package_root)
     if spec is None:
         spec = (
             default_taint_spec() if package_root is None else TaintSpec()
         )
-    digest = source_digest(root)
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / "flow" / f"graph-{digest}.pkl"
-        if cache_path.exists():
-            try:
-                with cache_path.open("rb") as stream:
-                    graph = pickle.load(stream)
-                if (
-                    isinstance(graph, FlowGraph)
-                    and graph.digest == digest
-                ):
-                    graph.from_cache = True
-                    graph.built_seconds = time.perf_counter() - start
-                    return graph
-            except Exception:
-                pass  # corrupt cache entry: rebuild below
-    sources = _iter_sources(root)
-    if runtime is not None and not runtime.executor.inline:
-        from repro.runtime.tasks import Task
-
-        tasks = [
-            Task(
-                kind="flow_facts",
-                payload=(str(path), relative, module, is_package, spec),
-                label=f"flow:{module}",
-            )
-            for path, relative, module, is_package in sources
-        ]
-        outcomes = runtime.executor.run_many(tasks)
-        modules = [outcome.value for outcome in outcomes]
-    else:
-        modules = [
-            scan_module(
-                path.read_text(), relative, module, is_package, spec
-            )
-            for path, relative, module, is_package in sources
-        ]
-    graph = _link(modules, root.parent, root.name, digest)
+    modules = [
+        scan_module(path.read_text(), relative, module, is_package, spec)
+        for path, relative, module, is_package in _iter_sources(root)
+    ]
+    graph = _link(modules, root.parent, root.name, source_digest(root))
     graph.built_seconds = time.perf_counter() - start
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = cache_path.with_suffix(".tmp")
-        with temporary.open("wb") as stream:
-            # The flow-graph cache predates repro.store and is already
-            # digest-gated (source digest checked on load) and written
-            # atomically via the .tmp rename below.
-            pickle.dump(graph, stream)  # repolint: disable=REP009
-        temporary.replace(cache_path)
     return graph
-
-
-def graph_json(graph: FlowGraph) -> dict:
-    """A JSON-serializable dump of the symbol table and edges."""
-    return {
-        "digest": graph.digest,
-        "package": graph.package,
-        "modules": graph.modules,
-        "functions": [
-            {
-                "qualname": info.qualname,
-                "path": info.relative,
-                "line": info.line,
-                "coroutine": info.is_coroutine,
-            }
-            for info in sorted(
-                graph.functions.values(), key=lambda f: f.qualname
-            )
-        ],
-        "edges": [
-            [caller, callee, line]
-            for caller in sorted(graph.edges)
-            for callee, line in graph.edges[caller]
-        ],
-        "tables": {
-            f"{module}.{name}": values
-            for (module, name), values in sorted(graph.tables.items())
-        },
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1449,46 +1334,6 @@ def fl001(
                 f"{message} — reachable from cached task "
                 f"{chain_to(parents, qual)[0].rsplit('.', 1)[-1]}, so "
                 "cached results would not be reproducible",
-                chain=chain_to(parents, qual),
-            ))
-    return violations
-
-
-def fl002(
-    graph: FlowGraph,
-    sim_roots: list[str] | None = None,
-    key_function: str = _KEY_FUNCTION,
-) -> list[FlowViolation]:
-    """Config fields read under simulate must flow into the cache key."""
-    if sim_roots is None:
-        sim_roots = [
-            qual for qual in default_task_roots(graph)
-            if qual.rsplit(".", 1)[-1] in _SIM_TASKS
-        ]
-    key_parents = reachable(graph, [key_function])
-    if not key_parents:
-        return []  # no key builder in this graph (fixture packages)
-    key_reads: set[tuple[str, str]] = set()
-    for qual in key_parents:
-        for _, class_qual, field_name in graph.functions[qual].field_reads:
-            key_reads.add((class_qual, field_name))
-    key_module = key_function.rsplit(".", 1)[0]
-    parents = reachable(graph, sim_roots)
-    violations = []
-    for qual in parents:
-        info = graph.functions[qual]
-        if info.module == key_module:
-            continue
-        for line, class_qual, field_name in info.field_reads:
-            if (class_qual, field_name) in key_reads:
-                continue
-            class_name = class_qual.rsplit(".", 1)[-1]
-            violations.append(FlowViolation(
-                "FL002", info.relative, line,
-                f"{class_name}.{field_name} is read under the simulate "
-                f"call graph but never by {key_function.rsplit('.', 1)[-1]}"
-                ": configurations differing only in this field would "
-                "alias one cache entry",
                 chain=chain_to(parents, qual),
             ))
     return violations
@@ -1616,7 +1461,6 @@ def fl005(
 
 FLOW_RULE_IMPLS = {
     "FL001": fl001,
-    "FL002": fl002,
     "FL003": fl003,
     "FL004": fl004,
     "FL005": fl005,
@@ -1654,13 +1498,11 @@ def lint_flow(
     graph: FlowGraph | None = None,
     rules: set[str] | None = None,
     *,
-    cache_dir: str | Path | None = None,
-    runtime=None,
     honor_suppressions: bool = True,
 ) -> list[FlowViolation]:
     """Run the FL rules over the package (or a prebuilt graph)."""
     if graph is None:
-        graph = build_graph(cache_dir=cache_dir, runtime=runtime)
+        graph = build_graph()
     violations: list[FlowViolation] = []
     for rule, implementation in FLOW_RULE_IMPLS.items():
         if rules is not None and rule not in rules:
@@ -1677,7 +1519,7 @@ def lint_flow(
 _strict_checked: set[str] = set()
 
 
-def check_flow(cache_dir: str | Path | None = None) -> None:
+def check_flow() -> None:
     """Strict-mode hook: raise :class:`FlowLintError` on violations.
 
     Runs at most once per process per source state (the experiment
@@ -1687,7 +1529,7 @@ def check_flow(cache_dir: str | Path | None = None) -> None:
     digest = source_digest(PACKAGE_ROOT)
     if digest in _strict_checked:
         return
-    violations = lint_flow(cache_dir=cache_dir)
+    violations = lint_flow()
     if violations:
         raise FlowLintError(violations)
     _strict_checked.add(digest)

@@ -2,24 +2,30 @@
 
 The guards prove that mutating any declared field of a configuration
 dataclass actually *changes* ``runtime.keys.config_key`` — stronger
-than any static check that the key builder merely reads the field.
-FlowLint's FL002 covers the other direction: fields read under the
-simulate call graph must reach the key.  The guard logic lives here,
-in one place; ``tests/test_config_key_guard.py`` is a thin caller.
+than any static check that the key builder merely reads the field, and
+the one proof of cache-key completeness in the repo.  The guard logic
+lives here, in one place; ``tests/test_config_key_guard.py`` is a thin
+caller.
 
 Each table maps ``field name -> mutation`` producing a valid,
-structurally different configuration.  Adding a field to a config
-dataclass fails :func:`config_mutation_gaps` until the table (and the
-key builder) answer the "does this knob address the cache?" question.
+structurally different configuration.  Coverage is by construction:
+every ``@dataclass`` in :mod:`repro.uarch.config` needs a table, and
+the nested tables are grafted through every ``MemoryConfig`` slot of
+their type.  Adding a dataclass, a field, or a slot therefore fails
+:func:`config_mutation_gaps` or :func:`config_key_blind_spots` until
+the table (and the key builder) answer the "does this knob address the
+cache?" question.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import replace
 
 from repro.isa.opcodes import FunctionalUnit
 from repro.runtime.keys import config_key
+from repro.uarch import config as config_module
 from repro.uarch.config import (
     ME1,
     PROC_4WAY,
@@ -145,23 +151,46 @@ GUARDED_CONFIGS = {
     ),
 }
 
-#: Nested dataclasses grafted through every containing slot.
+#: Nested dataclasses, grafted through every ``MemoryConfig`` slot of
+#: their type (:func:`nested_slots`).
 NESTED_CONFIGS = {
-    CacheConfig: (CACHE_MUTATIONS, ("il1", "dl1", "l2")),
-    TlbConfig: (TLB_MUTATIONS, ("itlb", "dtlb")),
+    CacheConfig: CACHE_MUTATIONS,
+    TlbConfig: TLB_MUTATIONS,
 }
 
 
+def config_dataclasses() -> list[type]:
+    """Every ``@dataclass`` defined in :mod:`repro.uarch.config`."""
+    return [
+        value for value in vars(config_module).values()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == config_module.__name__
+    ]
+
+
+def nested_slots(cls: type) -> tuple[str, ...]:
+    """The ``MemoryConfig`` fields typed ``cls`` (``il1``/``dl1``/...)."""
+    hints = typing.get_type_hints(MemoryConfig)
+    return tuple(
+        field.name for field in dataclasses.fields(MemoryConfig)
+        if hints[field.name] is cls
+    )
+
+
 def config_mutation_gaps() -> dict[str, set[str]]:
-    """Dataclass fields with no mutation entry (should be empty)."""
+    """Dataclass fields with no mutation entry (should be empty).
+
+    A config dataclass with no table at all reports every field.
+    """
     gaps: dict[str, set[str]] = {}
     tables = {
         **{cls: mutations for cls, (mutations, _) in GUARDED_CONFIGS.items()},
-        **{cls: mutations for cls, (mutations, _) in NESTED_CONFIGS.items()},
+        **NESTED_CONFIGS,
     }
-    for cls, mutations in tables.items():
+    for cls in config_dataclasses():
         fields = {field.name for field in dataclasses.fields(cls)}
-        difference = fields ^ set(mutations)
+        difference = fields ^ set(tables.get(cls, {}))
         if difference:
             gaps[cls.__name__] = difference
     return gaps
@@ -180,8 +209,8 @@ def config_key_blind_spots() -> list[str]:
         for name, mutate in mutations.items():
             if config_key(graft(mutate)) == base_key:
                 blind.append(f"{cls.__name__}.{name}")
-    for cls, (mutations, slots) in NESTED_CONFIGS.items():
-        for slot in slots:
+    for cls, mutations in NESTED_CONFIGS.items():
+        for slot in nested_slots(cls):
             for name, mutate in mutations.items():
                 memory = replace(
                     BASE.memory,

@@ -37,9 +37,9 @@ REP009   ad-hoc persistence outside the storage layer: a
 
 Rule ids are never renumbered or reused; the gaps are retired rules
 whose hazards have one check elsewhere or no longer exist.  Config
-fields missing from the cache key belong to FlowLint's FL002 and the
-mutation guards in :mod:`repro.verify.guards`; blocking calls in serve
-coroutines belong to FlowLint's FL004.  The rule against hand-rolled
+fields missing from the cache key belong to the mutation guards in
+:mod:`repro.verify.guards`; blocking calls in serve coroutines belong
+to FlowLint's FL004.  The rule against hand-rolled
 configuration grids in the analysis drivers retired with the grids:
 the Fig. 3-7 and 9 grids expand through :mod:`repro.sweep.plan`
 (``docs/verify.md`` lists each retired id).

@@ -751,7 +751,6 @@ def check_decode_plane(trace: Trace) -> list[TraceViolation]:
         [REGFILE_OF_OPCLASS.get(OpClass(v), -1) for v in range(_N_OPS)],
         dtype=np.int64,
     )
-    mismatch("op", ops.tolist(), decoded.op)
     mismatch("fu", fu_table[ops].tolist(), decoded.fu)
     mismatch("latency", latency_table[ops].tolist(), decoded.latency)
     mismatch("regfile", regfile_table[ops].tolist(), decoded.regfile)
@@ -761,8 +760,6 @@ def check_decode_plane(trace: Trace) -> list[TraceViolation]:
         "is_branch", (ops == int(OpClass.CTRL)).tolist(), decoded.is_branch
     )
     mismatch("is_memory", _MEMORY_MASK[ops].tolist(), decoded.is_memory)
-    mismatch("has_dest", columns["dests"].astype(bool).tolist(),
-             decoded.has_dest)
     pcs = columns["pcs"]
     mismatch("pc", pcs.tolist(), decoded.pc)
     mismatch("line", (pcs >> FETCH_LINE_SHIFT).tolist(), decoded.line)

@@ -12,7 +12,6 @@ suppresses it, and clean code stays clean.
 from __future__ import annotations
 
 import ast
-import pickle
 from pathlib import Path
 
 import pytest
@@ -30,13 +29,6 @@ PROCESSOR = "repro.uarch.config.ProcessorConfig"
 def fixture_graph(name: str, spec: TaintSpec | None = None) -> flow.FlowGraph:
     return flow.build_graph(
         FIXTURES / name / "repro", spec=spec or TaintSpec()
-    )
-
-
-def fl002_spec() -> TaintSpec:
-    return TaintSpec(
-        config_fields={PROCESSOR: {"width": None, "depth": None}},
-        name_seeds={"config": PROCESSOR},
     )
 
 
@@ -63,29 +55,6 @@ class TestFL001:
         assert all(
             "execute_clean" not in v.chain[0] for v in kept
         )
-
-
-class TestFL002:
-    def test_uncovered_field_read_fires(self):
-        graph = fixture_graph("fl002", fl002_spec())
-        violations = flow.lint_flow(graph=graph)
-        assert [v.rule for v in violations] == ["FL002"]
-        violation = violations[0]
-        assert violation.path == "repro/uarch/core.py"
-        assert "ProcessorConfig.depth" in violation.message
-        assert len(violation.chain) == 3  # execute_simulate -> run -> _drain
-        assert violation.chain[-1].endswith("_drain")
-
-    def test_covered_field_is_silent(self):
-        graph = fixture_graph("fl002", fl002_spec())
-        violations = flow.lint_flow(graph=graph)
-        assert not any("width" in v.message for v in violations)
-
-    def test_suppressed_read_filtered(self):
-        graph = fixture_graph("fl002", fl002_spec())
-        raw = flow.lint_flow(graph=graph, honor_suppressions=False)
-        assert len(raw) == 2
-        assert len(flow.lint_flow(graph=graph)) == 1
 
 
 class TestFL003:
@@ -237,7 +206,7 @@ class TestRealGraph:
             for kind in (
                 "simulate", "simulate_batch", "sweep_point",
                 "sweep_batch", "trace", "lint", "search_shard",
-                "precompute_words", "flow_facts", "selftest",
+                "precompute_words", "selftest",
             )
         }
         assert set(callees) == expected
@@ -274,21 +243,6 @@ class TestRealGraph:
     def test_repo_is_flow_clean(self, repo_graph):
         assert flow.lint_flow(graph=repo_graph) == []
 
-    def test_graph_pickles(self, repo_graph):
-        clone = pickle.loads(pickle.dumps(repo_graph))
-        assert clone.digest == repo_graph.digest
-        assert len(clone.functions) == len(repo_graph.functions)
-
-    def test_graph_json_shape(self, repo_graph):
-        dump = flow.graph_json(repo_graph)
-        assert set(dump) >= {"digest", "functions", "edges", "tables"}
-        names = {entry["qualname"] for entry in dump["functions"]}
-        assert "repro.runtime.tasks.run_task" in names
-        assert any(
-            caller == "repro.runtime.tasks.run_task"
-            for caller, _, _ in dump["edges"]
-        )
-
     def test_check_flow_clean_and_memoized(self, repo_graph):
         flow.check_flow()
         flow.check_flow()  # second call is a digest-memo hit
@@ -299,47 +253,6 @@ class TestRealGraph:
         error = flow.FlowLintError(violations)
         assert "FL001" in str(error)
         assert "stats.py" in str(error)
-
-
-class TestGraphCache:
-    def test_warm_run_uses_pickle(self, tmp_path):
-        root = FIXTURES / "fl001" / "repro"
-        cold = flow.build_graph(root, spec=TaintSpec(), cache_dir=tmp_path)
-        assert not cold.from_cache
-        warm = flow.build_graph(root, spec=TaintSpec(), cache_dir=tmp_path)
-        assert warm.from_cache
-        assert warm.digest == cold.digest
-        assert len(warm.functions) == len(cold.functions)
-
-    def test_source_change_invalidates(self, tmp_path):
-        package = tmp_path / "repro"
-        package.mkdir()
-        module = package / "mod.py"
-        module.write_text("def f():\n    return 1\n")
-        first = flow.build_graph(
-            package, spec=TaintSpec(), cache_dir=tmp_path / "cache"
-        )
-        module.write_text("def f():\n    return 2\n")
-        second = flow.build_graph(
-            package, spec=TaintSpec(), cache_dir=tmp_path / "cache"
-        )
-        assert not second.from_cache
-        assert second.digest != first.digest
-
-
-class TestParallelScan:
-    def test_pool_scan_matches_serial(self):
-        from repro.runtime.engine import ExperimentRuntime
-
-        serial = flow.build_graph()
-        runtime = ExperimentRuntime(jobs=2)
-        try:
-            pooled = flow.build_graph(runtime=runtime)
-        finally:
-            runtime.close()
-        assert pooled.digest == serial.digest
-        assert set(pooled.functions) == set(serial.functions)
-        assert pooled.edges == serial.edges
 
 
 class TestStaleSuppressions:

@@ -132,7 +132,7 @@ class TestLintFlow:
         assert payload["ok"] is True
         assert payload["violations"] == []
         assert set(payload["rules"]) == {
-            "FL001", "FL002", "FL003", "FL004", "FL005",
+            "FL001", "FL003", "FL004", "FL005",
         }
         assert payload["graph"]["functions"] > 500
         assert payload["graph"]["edges"] > 1000
@@ -144,32 +144,13 @@ class TestLintFlow:
         assert completed.returncode == 2
         assert "unknown flow rule" in completed.stderr
 
-    def test_graph_json_dump(self, tmp_path):
-        target = tmp_path / "graph.json"
-        completed = run_cli("lint-flow", "--graph-json", str(target))
-        assert completed.returncode == 0
-        payload = json.loads(target.read_text())
-        assert {"digest", "functions", "edges", "tables"} <= set(payload)
-        names = {entry["qualname"] for entry in payload["functions"]}
-        assert "repro.runtime.tasks.run_task" in names
-
-    def test_graph_json_stdout_is_pure_json(self):
-        # With `--graph-json -` the document owns stdout; the human
-        # report must land on stderr or the stream is unparseable.
-        completed = run_cli("lint-flow", "--graph-json", "-")
-        assert completed.returncode == 0
-        payload = json.loads(completed.stdout)
-        assert {"digest", "functions", "edges", "tables"} <= set(payload)
-        assert "flowlint: clean" in completed.stderr
-
-    def test_warm_cache_run(self, tmp_path):
-        cold = run_cli("lint-flow", "--cache-dir", str(tmp_path))
-        assert cold.returncode == 0
-        assert "cold scan" in cold.stdout
-        warm = run_cli("lint-flow", "--cache-dir", str(tmp_path))
-        assert warm.returncode == 0
-        assert "warm cache" in warm.stdout
-
+    def test_retired_fl002_is_unknown(self):
+        # FL002 retired in favour of the config-key mutation guards;
+        # its id is not reused, so asking for it is a usage error.
+        completed = run_cli("lint-flow", "--rules", "FL002")
+        assert completed.returncode == 2
+        assert "unknown flow rule(s): FL002" in completed.stderr
+        assert "known: FL001 FL003 FL004 FL005" in completed.stderr
 
 class TestStaleSuppressionsCli:
     def test_repo_suppressions_all_live(self):
