@@ -329,10 +329,6 @@ def _lint_trace_command(arguments: list[str]) -> int:
         help="lint every workload in the suite",
     )
     parser.add_argument("--jobs", "-j", type=int, default=1)
-    parser.add_argument(
-        "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
-        help="persistent cache: trace generation becomes cache-aware",
-    )
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument(
         "--no-roundtrip", action="store_true",
@@ -363,14 +359,11 @@ def _lint_trace_command(arguments: list[str]) -> int:
 
     roundtrip = not options.no_roundtrip
     content_address = re.compile(r"^[0-9a-f]{16,64}$")
-    runtime = ExperimentRuntime(
-        jobs=options.jobs, cache_dir=options.cache_dir
-    )
+    runtime = ExperimentRuntime(jobs=options.jobs)
     try:
         suite = WorkloadSuite()
         if names:
-            # Trace generation fans out over the pool and resolves from
-            # the persistent cache when one is configured.
+            # Trace generation fans out over the pool.
             runtime.run_workloads(suite, tuple(names))
         tasks = []
         for name in names:

@@ -1,4 +1,4 @@
-"""Alignment applications: SW (scalar + SIMD), BLAST, FASTA."""
+"""Alignment applications: Smith-Waterman, BLAST, FASTA."""
 
 from repro.align.banded import banded_sw_score
 from repro.align.batch import (
@@ -17,7 +17,6 @@ from repro.align.statistics import (
     empirical_score_survey,
     fit_gumbel,
 )
-from repro.align.simd.sw_vmx import sw_score_vmx, sw_score_vmx128, sw_score_vmx256
 from repro.align.smith_waterman import smith_waterman, sw_score, sw_score_swat
 from repro.align.ssearch import (
     SsearchEngine,
@@ -52,9 +51,6 @@ __all__ = [
     "empirical_lambda",
     "empirical_score_survey",
     "fit_gumbel",
-    "sw_score_vmx",
-    "sw_score_vmx128",
-    "sw_score_vmx256",
     "smith_waterman",
     "sw_score",
     "sw_score_swat",

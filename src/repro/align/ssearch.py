@@ -6,9 +6,9 @@ as configured in the paper (Table I: ``-q -H -p -b 500 -d 0 -s BL62
 Smith-Waterman score for every database sequence, report the best 500
 scores with a score histogram and no alignments (``-d 0``).
 
-The same driver serves all three SW implementations the paper studies —
-the scalar SWAT kernel and the two vectorized kernels — via the
-``scorer`` parameter, so search results are directly comparable.
+The pairwise scorer is a parameter (``sw_score_swat`` by default, or
+the plain ``sw_score`` recurrence); both give the same scores, so
+search results are directly comparable.
 """
 
 from __future__ import annotations

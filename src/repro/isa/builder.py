@@ -23,14 +23,15 @@ NumPy layout that :class:`~repro.isa.trace.Trace` stores natively in a
 single vectorized pass — no per-instruction Python objects are ever
 created on the kernel hot path.
 
-Structurally repetitive inner loops can skip the per-call path
-entirely: a kernel registers the static shape of its hot block as an
+Structurally repetitive inner loops skip the per-call path: a kernel
+registers the static shape of its hot block as an
 :class:`~repro.isa.emit.EmitTemplate` and calls :meth:`TraceBuilder.stamp`
 to materialize whole loop runs as bulk NumPy column chunks (see
-:mod:`repro.isa.emit`).  The builder's ``emit_mode`` argument selects
-the kernels' emission path: ``templated`` (the default) or ``scalar``,
-the per-call reference the equivalence tests compare against.  Both
-produce byte-identical traces, so the cache key omits the mode.
+:mod:`repro.isa.emit`).  Every kernel emits its inner loops that way
+and keeps the per-call methods for the short, data-dependent code
+between stamps; runs shorter than
+:data:`~repro.isa.emit.INTERPRET_BELOW` iterations are interpreted slot
+by slot through the same per-call path.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ __all__ = [
     "TraceBuilder",
 ]
 
-#: Recognized ``emit_mode`` values; the first is the default.
-EMIT_MODES = ("templated", "scalar")
-
 #: Base of the synthetic code segment (site pcs) and data segment.
 CODE_BASE = 0x0001_0000
 DATA_BASE = 0x1000_0000
@@ -89,20 +87,14 @@ class TraceBuilder:
         name: str,
         record: bool = True,
         limit: int | None = None,
-        emit_mode: str = "templated",
     ) -> None:
         self.name = name
         self.record = record
         self.limit = limit
-        self.emit_mode = emit_mode
-        if self.emit_mode not in EMIT_MODES:
-            raise ValueError(
-                f"emit_mode={self.emit_mode!r} is not one of {EMIT_MODES}"
-            )
         #: One row tuple per recorded instruction:
         #: (op, pc, has_dest, address, size, taken, target, s0, s1, s2).
         self._rows: list[tuple] = []
-        #: Finished column chunks (flushed scalar rows + template stamps).
+        #: Finished column chunks (flushed per-call rows + template stamps).
         self._chunks: list[dict[str, np.ndarray]] = []
         #: Instructions already flushed into ``_chunks``.
         self._flushed = 0
@@ -112,11 +104,6 @@ class TraceBuilder:
         self.total = 0
         self._site_pcs: dict[str, int] = {}
         self._data_cursor = DATA_BASE
-
-    @property
-    def use_templates(self) -> bool:
-        """Whether kernels should take their block-templated fast path."""
-        return self.emit_mode == "templated"
 
     @property
     def instructions(self) -> list[Instruction]:
@@ -277,7 +264,7 @@ class TraceBuilder:
     # Block-templated emission (the vectorized fast path)
     # ------------------------------------------------------------------
     def _flush_rows(self) -> None:
-        """Convert pending scalar rows into a finished column chunk."""
+        """Convert pending per-call rows into a finished column chunk."""
         rows = self._rows
         if not rows:
             return
@@ -314,12 +301,12 @@ class TraceBuilder:
         produce; only the materialization is vectorized.  Short runs
         (fewer than :data:`repro.isa.emit.INTERPRET_BELOW` iterations)
         are interpreted per instruction, where NumPy's fixed costs would
-        exceed the scalar loop.
+        exceed the per-instruction loop.
 
         Returns a :class:`~repro.isa.emit.StampResult` whose ``last``
         method maps slots to their final emission index, so kernels can
         thread loop-carried registers across stamps and into the
-        surrounding scalar emissions.
+        surrounding per-call emissions.
         """
         operands = operands or {}
         n_slots = len(template.slots)
@@ -342,7 +329,7 @@ class TraceBuilder:
         before = self.total
         if self.limit is not None and before + total_new > self.limit:
             fit = self.limit - before
-            # The scalar path counts the first over-budget instruction
+            # Per-call emission counts the first over-budget instruction
             # before raising; reproduce that bookkeeping exactly.
             kept_counts = np.bincount(
                 columns["ops"][:fit + 1], minlength=len(OpClass)
@@ -382,7 +369,7 @@ class TraceBuilder:
                 template, n, presence, fit
             )
             # Per-op counts of the first ``fit`` instructions, plus the
-            # over-budget one itself (scalar counts it before raising).
+            # over-budget one itself (per-call emission counts it first).
             partial = np.zeros(len(OpClass), dtype=np.int64)
             for slot, mask in presence:
                 op = int(template.slots[slot].op)
@@ -412,7 +399,7 @@ class TraceBuilder:
         Shares no materialization code with the vectorized path — it
         walks the slots iteration by iteration through :meth:`_emit` —
         which makes it both the short-run fast path and the oracle the
-        equivalence tests compare :func:`repro.isa.emit.stamp_columns`
+        stamp fuzz tests compare :func:`repro.isa.emit.stamp_columns`
         against.
         """
         # Per-item indexing dominates at these run lengths, and Python

@@ -20,10 +20,12 @@ scores must stay bit-identical to the reference implementations) and
 calls :meth:`repro.isa.builder.TraceBuilder.stamp` once per block run;
 the builder materializes every iteration as bulk NumPy column writes.
 
-The contract is strict: for the same kernel execution, the templated
-path must produce **byte-identical columns** (hence content digests) to
-the legacy per-call scalar path, including synthetic pc assignment
-order, instruction-budget truncation semantics, and count-only mode.
+The contract is strict: a stamp must produce **byte-identical
+columns** (hence content digests) to emitting the same iterations call
+by call through the builder's per-instruction methods, including
+synthetic pc assignment order, instruction-budget truncation semantics,
+and count-only mode.  ``TraceBuilder._stamp_interpreted`` does exactly
+that; it is the oracle the stamp fuzz tests compare against.
 
 Source-operand references
 -------------------------
@@ -55,7 +57,7 @@ from repro.isa.trace import MAX_SOURCES
 _DESTLESS = frozenset({OpClass.ISTORE, OpClass.VSTORE, OpClass.CTRL})
 
 #: Stamps shorter than this fall back to per-instruction interpretation:
-#: below it the NumPy fixed costs exceed the scalar loop they replace.
+#: below it the NumPy fixed costs exceed the per-instruction loop.
 INTERPRET_BELOW = 8
 
 
@@ -285,7 +287,7 @@ class StampResult:
     """What a stamp call hands back to the kernel.
 
     ``last`` lets kernels thread loop-carried registers across stamps
-    and into the surrounding scalar emissions (the SSA index of a
+    and into the surrounding per-call emissions (the SSA index of a
     slot's final emission stands for the register it left behind).
     """
 
@@ -297,7 +299,7 @@ class StampResult:
         """Trace index of ``slot``'s final emission, else ``default``.
 
         In count-only mode (no recorded indices) always ``default`` —
-        mirroring the scalar path, where emit methods return 0.
+        mirroring the per-call emit methods, which return 0 there.
         """
         if self._last is None:
             return default
@@ -496,7 +498,7 @@ def stamp_columns(
     dynamic counts, and each slot's final emission index.
 
     ``pc_of`` is called in order of each site's *first emission*, which
-    keeps synthetic pc assignment identical to the scalar path (where a
+    keeps synthetic pc assignment identical to per-call emission (where a
     site's pc is allocated at its first dynamic occurrence).
     """
     layout = _Layout(template, n, operands, base_index)
@@ -648,7 +650,7 @@ def stream_position(
 ) -> tuple[int, int]:
     """Locate stream ``position``: returns ``(iteration, slot)``.
 
-    Used when an instruction budget expires mid-stamp: the scalar path
+    Used when an instruction budget expires mid-stamp: per-call emission
     counts the first over-budget instruction before raising, so the
     stamp must identify exactly which slot that would have been.
     """

@@ -69,19 +69,14 @@ class TracedKernel(abc.ABC):
         database: SequenceDatabase,
         record: bool = True,
         limit: int | None = None,
-        emit_mode: str = "templated",
     ) -> KernelRun:
         """Trace the application over ``database``.
 
         ``record=False`` counts instructions without materializing them
         (for Table III-scale measurements); ``limit`` truncates the run
-        once the instruction budget is reached; ``emit_mode="scalar"``
-        selects per-call emission, the byte-identical reference for the
-        templated default.
+        once the instruction budget is reached.
         """
-        builder = TraceBuilder(
-            self.name, record=record, limit=limit, emit_mode=emit_mode
-        )
+        builder = TraceBuilder(self.name, record=record, limit=limit)
         scores: dict[str, int] = {}
         truncated = False
         try:

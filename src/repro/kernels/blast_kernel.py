@@ -25,7 +25,7 @@ from repro.kernels.base import TracedKernel
 from repro.kernels.dp_emit import banded_dp_traced
 
 #: Word-scan block, stamped in hit-to-hit runs (the hit's cell fetch,
-#: bucket walk, and extensions interleave scalar emissions mid-stream).
+#: bucket walk, and extensions interleave per-call emissions mid-stream).
 _SCAN_TEMPLATE = EmitTemplate("blast.scan", [
     SlotSpec(OpClass.ILOAD, "scan.readdb",
              sources=(Carry(1, init=Reg("ptr")),),
@@ -138,11 +138,6 @@ class BlastKernel(TracedKernel):
             "profile": profile_base,
             "row": row_base,
         }
-        scan = (
-            self._scan_templated if builder.use_templates
-            else self._scan_scalar
-        )
-
         db_cursor = db_base
         for subject in database:
             s = subject.codes
@@ -153,7 +148,7 @@ class BlastKernel(TracedKernel):
             r_sub = builder.ialu("drv.subj.setup")
             builder.other("drv.subj.misc", (r_sub,))
 
-            best = scan(
+            best = self._scan(
                 builder, q, s, n, m, lookup, bucket_offset, bases,
                 subject_base, r_sub,
             )
@@ -161,49 +156,6 @@ class BlastKernel(TracedKernel):
             r_hist = builder.ialu("drv.hist.bin", (r_sub,))
             builder.istore("drv.hist.store", diag_base, (r_hist,), size=4)
             scores[subject.identifier] = best
-
-    def _scan_scalar(
-        self,
-        builder: TraceBuilder,
-        q,
-        s,
-        n: int,
-        m: int,
-        lookup: LookupTable,
-        bucket_offset: dict[int, int],
-        bases: dict[str, int],
-        subject_base: int,
-        r_sub: int,
-    ) -> int:
-        """Per-call scalar scan loop (the ``emit_mode="scalar"`` path)."""
-        word_size = self.options.word_size
-        pv_base = bases["pv"]
-        best = 0
-        bias = m - 1
-        last_hit = [-(10**9)] * (bias + max(n, 1))
-        extended_until: dict[int, int] = {}
-
-        r_ptr = r_sub
-        for so in range(max(0, n - word_size + 1)):
-            index = word_index(s, so, word_size)
-            positions = lookup.lookup(index)
-
-            # Scan step: packed residue read, word index update,
-            # presence-vector probe (paper listing 1 territory).
-            r_ptr, r_idx = self._emit_scan_step(
-                builder, r_ptr, subject_base + so,
-                pv_base + (max(index, 0) >> 3), bool(positions),
-                so % 2 == 1, so + 1 < n,
-            )
-            if not positions:
-                continue
-
-            best = self._process_hit(
-                builder, q, s, so, index, positions, bias, last_hit,
-                extended_until, best, bucket_offset, bases, subject_base,
-                r_idx,
-            )
-        return best
 
     @staticmethod
     def _emit_scan_step(
@@ -215,8 +167,8 @@ class BlastKernel(TracedKernel):
         odd: bool,
         cont: bool,
     ) -> tuple[int, int]:
-        """One scalar scan step — the per-call twin of one
-        ``_SCAN_TEMPLATE`` iteration; returns (ptr, word-index) regs."""
+        """One ``_SCAN_TEMPLATE`` iteration emitted call by call, for
+        runs too short to stamp; returns (ptr, word-index) regs."""
         r_byte = builder.iload("scan.readdb", subject_addr, (r_ptr,), size=1)
         r_ptr = builder.ialu("scan.unpack1", (r_byte, r_ptr))
         r_idx = builder.ialu("scan.unpack2", (r_byte,))
@@ -230,7 +182,7 @@ class BlastKernel(TracedKernel):
             builder.ctrl("scan.loop", taken=cont, backward=True)
         return r_ptr, r_idx
 
-    def _scan_templated(
+    def _scan(
         self,
         builder: TraceBuilder,
         q,
@@ -265,8 +217,8 @@ class BlastKernel(TracedKernel):
                 return r_idx
             if count < INTERPRET_BELOW:
                 # Stamp setup costs more than these few instructions:
-                # replay the buffered run through the scalar step
-                # (identical stream either way).
+                # replay the buffered run step by step (identical
+                # stream either way).
                 r_ptr = state["ptr"]
                 start = state["start"]
                 for k in range(count):
@@ -331,8 +283,8 @@ class BlastKernel(TracedKernel):
     ) -> int:
         """Cell fetch, bucket walk, extensions for one word hit.
 
-        Shared verbatim by both emission paths (the walk is short and
-        data-dependent; only the extensions inside it are stamped).
+        Emitted call by call: the walk is short and data-dependent, so
+        only the extensions inside it are stamped.
         """
         options = self.options
         word_size = options.word_size
@@ -378,12 +330,7 @@ class BlastKernel(TracedKernel):
             if extended_until.get(real_diag, -1) >= so:
                 continue
 
-            extend = (
-                self._extend_ungapped_templated
-                if builder.use_templates
-                else self._extend_ungapped_traced
-            )
-            score, subject_end = extend(
+            score, subject_end = self._extend_ungapped(
                 builder, q, s, qo, so, bases["matrix"], bases["query"],
                 subject_base, r_diag
             )
@@ -407,7 +354,7 @@ class BlastKernel(TracedKernel):
                 best = score
         return best
 
-    def _extend_ungapped_templated(
+    def _extend_ungapped(
         self,
         builder: TraceBuilder,
         q,
@@ -419,7 +366,11 @@ class BlastKernel(TracedKernel):
         subject_base: int,
         r_seed: int,
     ) -> tuple[int, int]:
-        """Template-stamped x-drop extension (one stamp per direction)."""
+        """Template-stamped x-drop extension (one stamp per direction).
+
+        Returns (score, subject_end) like
+        :func:`repro.align.blast.extension.extend_ungapped`.
+        """
         options = self.options
         rows = options.matrix.rows
         word_size = options.word_size
@@ -511,84 +462,5 @@ class BlastKernel(TracedKernel):
             if stop:
                 break
         stamp_direction("left", steps)
-
-        return total_best, subject_offset + word_size + right
-
-    def _extend_ungapped_traced(
-        self,
-        builder: TraceBuilder,
-        q,
-        s,
-        query_offset: int,
-        subject_offset: int,
-        matrix_base: int,
-        query_base: int,
-        subject_base: int,
-        r_seed: int,
-    ) -> tuple[int, int]:
-        """X-drop ungapped extension with per-residue emission.
-
-        Returns (score, subject_end) like
-        :func:`repro.align.blast.extension.extend_ungapped`.
-        """
-        options = self.options
-        rows = options.matrix.rows
-        word_size = options.word_size
-        x_drop = options.x_drop_ungapped
-        msize = options.matrix.size
-
-        r_run = builder.ialu("ext.init", (r_seed,))
-
-        def emit_step(direction: str, q_pos: int, s_pos: int, stop: bool) -> None:
-            nonlocal r_run
-            r_s = builder.iload(
-                f"ext.{direction}.s", subject_base + s_pos, (r_run,), size=1
-            )
-            r_row = builder.ialu(f"ext.{direction}.row", (r_s,))
-            r_m = builder.iload(
-                f"ext.{direction}.m",
-                matrix_base + (q[q_pos] * msize + s[s_pos]) * 2,
-                (r_row,),
-                size=2,
-            )
-            r_run = builder.ialu(f"ext.{direction}.add", (r_run, r_m))
-            r_ptr2 = builder.ialu(f"ext.{direction}.ptr", (r_run,))
-            r_cmp = builder.ialu(f"ext.{direction}.cmp", (r_run, r_ptr2))
-            builder.ctrl(f"ext.{direction}.br", taken=not stop, sources=(r_cmp,))
-
-        # Seed word score.
-        score = 0
-        for offset in range(word_size):
-            score += rows[q[query_offset + offset]][s[subject_offset + offset]]
-            emit_step("seed", query_offset + offset, subject_offset + offset, False)
-
-        # Right extension.
-        best = score
-        right = 0
-        running = score
-        q0, s0 = query_offset + word_size, subject_offset + word_size
-        limit = min(len(q) - q0, len(s) - s0)
-        for step in range(limit):
-            running += rows[q[q0 + step]][s[s0 + step]]
-            stop = best - running > x_drop
-            if running > best:
-                best = running
-                right = step + 1
-            emit_step("right", q0 + step, s0 + step, stop)
-            if stop:
-                break
-
-        # Left extension.
-        total_best = best
-        running = best
-        limit = min(query_offset, subject_offset)
-        for step in range(1, limit + 1):
-            running += rows[q[query_offset - step]][s[subject_offset - step]]
-            stop = total_best - running > x_drop
-            if running > total_best:
-                total_best = running
-            emit_step("left", query_offset - step, subject_offset - step, stop)
-            if stop:
-                break
 
         return total_best, subject_offset + word_size + right

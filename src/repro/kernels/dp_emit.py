@@ -88,32 +88,6 @@ def banded_dp_traced(
     address space; ``r_ctx`` is the register carrying the caller's
     context pointer (address dependencies hang off it).
     """
-    if builder.use_templates:
-        return _banded_dp_templated(
-            builder, prefix, query_codes, subject_codes, center, width,
-            matrix, gaps, profile_base, row_base, subject_base, r_ctx,
-        )
-    return _banded_dp_scalar(
-        builder, prefix, query_codes, subject_codes, center, width,
-        matrix, gaps, profile_base, row_base, subject_base, r_ctx,
-    )
-
-
-def _banded_dp_templated(
-    builder: TraceBuilder,
-    prefix: str,
-    query_codes,
-    subject_codes,
-    center: int,
-    width: int,
-    matrix: ScoringMatrix,
-    gaps: GapPenalties,
-    profile_base: int,
-    row_base: int,
-    subject_base: int,
-    r_ctx: int,
-) -> int:
-    """Template-stamped equivalent of :func:`_banded_dp_scalar`."""
     q = query_codes
     s = subject_codes
     if not q or not s:
@@ -194,120 +168,6 @@ def _banded_dp_templated(
             "best_upd": pos_mask & b_gt_mask,
             "loop": idx < i_max,
         })
-
-        if i_max < m:
-            h_row[i_max + 1] = 0
-            e_row[i_max + 1] = _NEG_INF
-        builder.ctrl(f"{prefix}.col.loop", taken=j < len(s), backward=True)
-
-    return best
-
-
-def _banded_dp_scalar(
-    builder: TraceBuilder,
-    prefix: str,
-    query_codes,
-    subject_codes,
-    center: int,
-    width: int,
-    matrix: ScoringMatrix,
-    gaps: GapPenalties,
-    profile_base: int,
-    row_base: int,
-    subject_base: int,
-    r_ctx: int,
-) -> int:
-    """Per-call scalar emission (the ``emit_mode="scalar"`` path)."""
-    q = query_codes
-    s = subject_codes
-    if not q or not s:
-        return 0
-
-    gap_first = gaps.first_residue_cost
-    gap_extend = gaps.extend
-    rows = matrix.rows
-    m = len(q)
-    lo_diag = center - width
-    hi_diag = center + width
-
-    h_row = [0] * (m + 1)
-    e_row = [_NEG_INF] * (m + 1)
-    best = 0
-
-    r_ptr = builder.ialu(f"{prefix}.setup", (r_ctx,))
-    r_best = r_ptr
-
-    for j in range(1, len(s) + 1):
-        score_row = rows[s[j - 1]]
-        i_min = max(1, j - hi_diag)
-        i_max = min(m, j - lo_diag)
-        if i_min > i_max:
-            continue
-        # Column setup: subject residue load, band limit arithmetic.
-        r_b = builder.iload(
-            f"{prefix}.col.loadb", subject_base + j - 1, (r_ptr,), size=1
-        )
-        r_prof = builder.ialu(f"{prefix}.col.prof", (r_b,))
-        r_h = builder.ialu(f"{prefix}.col.h0")
-        r_f = r_h
-        r_diag = r_h
-
-        diag = h_row[i_min - 1]
-        f = _NEG_INF
-        if i_min > 1:
-            h_row[i_min - 1] = 0
-
-        profile_row = profile_base + s[j - 1] * m * 2
-        for i in range(i_min, i_max + 1):
-            on_right_edge = (j - i) == lo_diag
-            e = _NEG_INF if on_right_edge else max(
-                h_row[i] - gap_first, e_row[i] - gap_extend
-            )
-            f = max(h_row[i - 1] - gap_first, f - gap_extend)
-            h = diag + score_row[q[i - 1]]
-            if e > h:
-                h = e
-            if f > h:
-                h = f
-            clamped = h < 0
-            if clamped:
-                h = 0
-
-            # Emitted stream: loads, adds/selects, positivity branches.
-            r_val = builder.iload(
-                f"{prefix}.cell.prof", profile_row + i * 2, (r_prof,), size=2
-            )
-            r_hl = builder.iload(
-                f"{prefix}.cell.loadH", row_base + i * 8, (r_ptr,), size=4
-            )
-            r_el = builder.iload(
-                f"{prefix}.cell.loadE", row_base + i * 8 + 4, (r_ptr,), size=4
-            )
-            r_add = builder.ialu(f"{prefix}.cell.add", (r_diag, r_val))
-            r_e = builder.ialu(f"{prefix}.cell.e_upd", (r_hl, r_el))
-            r_f = builder.ialu(f"{prefix}.cell.f_upd", (r_f, r_h))
-            r_h = builder.ialu(f"{prefix}.cell.h_max", (r_add, r_e, r_f))
-            r_cmp = builder.ialu(f"{prefix}.cell.cmp_pos", (r_h,))
-            builder.ctrl(f"{prefix}.cell.br_pos", taken=not clamped, sources=(r_cmp,))
-            if not clamped:
-                r_cmp = builder.ialu(f"{prefix}.cell.cmp_best", (r_h,))
-                builder.ctrl(
-                    f"{prefix}.cell.br_best", taken=h > best, sources=(r_cmp,)
-                )
-                if h > best:
-                    r_best = builder.ialu(f"{prefix}.cell.mov_best", (r_h,))
-            builder.istore(
-                f"{prefix}.cell.store", row_base + i * 8, (r_h, r_e), size=8
-            )
-            builder.ctrl(
-                f"{prefix}.cell.loop", taken=i < i_max, backward=True
-            )
-
-            diag = h_row[i]
-            h_row[i] = h
-            e_row[i] = e
-            if h > best:
-                best = h
 
         if i_max < m:
             h_row[i_max + 1] = 0

@@ -31,8 +31,8 @@ from repro.kernels.dp_emit import banded_dp_traced
 
 #: Stage-1 k-tuple scan block.  Stamped in hit-to-hit runs: the kernel
 #: buffers per-offset operands until a bucket walk interrupts the
-#: stream, stamps the run (hit offset inclusive), emits the walk with
-#: scalar calls, and threads ``r_ptr``/``r_head`` via the stamp result.
+#: stream, stamps the run (hit offset inclusive), emits the walk call
+#: by call, and threads ``r_ptr``/``r_head`` via the stamp result.
 _SCAN_TEMPLATE = EmitTemplate("fasta.scan", [
     SlotSpec(OpClass.ILOAD, "scan.loads",
              sources=(Carry(1, init=Reg("ptr")),),
@@ -106,12 +106,7 @@ class FastaKernel(TracedKernel):
             builder.other("drv.subj.misc", (r_sub,))
 
             # ---------------- stage 1: k-tuple diagonal scan ----------
-            scan = (
-                self._scan_templated
-                if builder.use_templates
-                else self._scan_scalar
-            )
-            hits = scan(
+            hits = self._scan(
                 builder, index, s, n, m, subject_base, ktab_base,
                 buckets_base, hitlist_base, r_sub,
             )
@@ -193,15 +188,10 @@ class FastaKernel(TracedKernel):
             raw_regions = raw_regions[: options.best_regions]
 
             # ---------------- stage 3: rescoring + chaining -----------
-            rescore = (
-                self._rescore_templated
-                if builder.use_templates
-                else self._rescore_traced
-            )
             rescored: list[DiagonalRegion] = []
             for region in raw_regions:
                 rescored.append(
-                    rescore(
+                    self._rescore(
                         builder, region, q, s, profile_base, subject_base, r_sub
                     )
                 )
@@ -244,54 +234,7 @@ class FastaKernel(TracedKernel):
             builder.istore("drv.hist.store", hitlist_base, (r_hist,), size=4)
             scores[subject.identifier] = stage_scores.reported
 
-    def _scan_scalar(
-        self,
-        builder: TraceBuilder,
-        index: KtupleIndex,
-        s,
-        n: int,
-        m: int,
-        subject_base: int,
-        ktab_base: int,
-        buckets_base: int,
-        hitlist_base: int,
-        r_sub: int,
-    ) -> dict[int, list[int]]:
-        """Per-call scalar stage-1 scan (the ``emit_mode="scalar"`` path)."""
-        ktup = self.options.ktup
-        hits: dict[int, list[int]] = {}
-        r_ptr = r_sub
-        for so in range(max(0, n - ktup + 1)):
-            word = 0
-            valid = True
-            for offset in range(ktup):
-                code = s[so + offset]
-                if code >= STANDARD_AMINO_ACIDS:
-                    valid = False
-                    break
-                word = word * STANDARD_AMINO_ACIDS + code
-            positions = index.positions(word) if valid else ()
-
-            r_byte = builder.iload(
-                "scan.loads", subject_base + so, (r_ptr,), size=1
-            )
-            r_ptr = builder.ialu("scan.shift", (r_byte, r_ptr))
-            r_word = builder.ialu("scan.word", (r_byte,))
-            r_head = builder.iload(
-                "scan.ktab", ktab_base + max(word, 0) * 8, (r_word,), size=8
-            )
-            r_test = builder.ialu("scan.test", (r_head,))
-            builder.ctrl("scan.br_hit", taken=bool(positions), sources=(r_test,))
-            if so % 2 == 1:
-                builder.ctrl("scan.loop", taken=so + 1 < n, backward=True)
-
-            self._emit_bucket_walk(
-                builder, hits, positions, so, m, buckets_base,
-                hitlist_base, r_head,
-            )
-        return hits
-
-    def _scan_templated(
+    def _scan(
         self,
         builder: TraceBuilder,
         index: KtupleIndex,
@@ -369,7 +312,7 @@ class FastaKernel(TracedKernel):
         hitlist_base: int,
         r_head: int,
     ) -> None:
-        """Bucket-list walk for one hit offset (shared by both paths)."""
+        """Bucket-list walk for one hit offset, emitted call by call."""
         for bucket_pos, qo in enumerate(positions):
             diagonal = so - qo
             hits.setdefault(diagonal, []).append(so)
@@ -389,7 +332,7 @@ class FastaKernel(TracedKernel):
                 backward=True,
             )
 
-    def _rescore_templated(
+    def _rescore(
         self,
         builder: TraceBuilder,
         region: DiagonalRegion,
@@ -399,10 +342,11 @@ class FastaKernel(TracedKernel):
         subject_base: int,
         r_ctx: int,
     ) -> DiagonalRegion:
-        """Template-stamped equivalent of :meth:`_rescore_traced`.
+        """Matrix rescoring of one region, as one template stamp.
 
-        A region's in-query offsets form one contiguous run, so the
-        whole rescoring loop is a single stamp.
+        Mirrors :func:`repro.align.fasta.ktup.rescore_region`.  A
+        region's in-query offsets form one contiguous run, so the whole
+        rescoring loop is a single stamp.
         """
         m = len(q)
         matrix = self.options.matrix
@@ -453,68 +397,6 @@ class FastaKernel(TracedKernel):
                 "upd": upd_mask,
                 "cont": cont,
             })
-        return DiagonalRegion(
-            diagonal=region.diagonal,
-            subject_start=best_start,
-            subject_end=best_end,
-            score=best,
-        )
-
-    def _rescore_traced(
-        self,
-        builder: TraceBuilder,
-        region: DiagonalRegion,
-        q,
-        s,
-        profile_base: int,
-        subject_base: int,
-        r_ctx: int,
-    ) -> DiagonalRegion:
-        """Matrix rescoring of one region with per-residue emission.
-
-        Exactly mirrors :func:`repro.align.fasta.ktup.rescore_region`.
-        """
-        m = len(q)
-        matrix = self.options.matrix
-        best = 0
-        running = 0
-        best_start = region.subject_start
-        best_end = region.subject_start
-        run_start = region.subject_start
-        r_run = builder.ialu("resc.setup", (r_ctx,))
-        for subject_offset in range(region.subject_start, region.subject_end):
-            query_offset = subject_offset - region.diagonal
-            if not 0 <= query_offset < m:
-                continue
-            value = matrix.score(q[query_offset], s[subject_offset])
-            r_s = builder.iload(
-                "resc.loads", subject_base + subject_offset, (r_run,), size=1
-            )
-            r_v = builder.iload(
-                "resc.prof",
-                profile_base + (s[subject_offset] * m + query_offset) * 2,
-                (r_s,),
-                size=2,
-            )
-            r_run = builder.ialu("resc.add", (r_run, r_v))
-            if running == 0:
-                run_start = subject_offset
-            running += value
-            reset = running <= 0
-            r_cmp = builder.ialu("resc.cmp", (r_run,))
-            builder.ctrl("resc.br_reset", taken=reset, sources=(r_cmp,))
-            if reset:
-                running = 0
-            elif running > best:
-                best = running
-                best_start = run_start
-                best_end = subject_offset + 1
-                r_run = builder.ialu("resc.upd", (r_run,))
-            builder.ctrl(
-                "resc.loop",
-                taken=subject_offset + 1 < region.subject_end,
-                backward=True,
-            )
         return DiagonalRegion(
             diagonal=region.diagonal,
             subject_start=best_start,

@@ -20,7 +20,6 @@ from typing import Callable
 
 from repro.align.blast.engine import BlastOptions
 from repro.align.fasta.engine import FastaOptions
-from repro.align.simd.vector import VMX128, VMX256
 from repro.kernels.base import TracedKernel
 from repro.kernels.blast_kernel import BlastKernel
 from repro.kernels.fasta_kernel import FastaKernel
@@ -34,8 +33,8 @@ SUITE_FASTA_OPT_THRESHOLD = 16
 
 KERNEL_FACTORIES: dict[str, Callable[[], TracedKernel]] = {
     "ssearch34": SsearchKernel,
-    "sw_vmx128": lambda: SwVmxKernel(VMX128),
-    "sw_vmx256": lambda: SwVmxKernel(VMX256),
+    "sw_vmx128": lambda: SwVmxKernel(128),
+    "sw_vmx256": lambda: SwVmxKernel(256),
     "fasta34": lambda: FastaKernel(
         FastaOptions(opt_threshold=SUITE_FASTA_OPT_THRESHOLD)
     ),

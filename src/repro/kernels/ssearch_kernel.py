@@ -31,7 +31,7 @@ from repro.kernels.base import TracedKernel
 def _cell_template() -> EmitTemplate:
     """The SWAT cell block as a stamp template.
 
-    Slot order mirrors the scalar emission sequence exactly; the
+    Slot order follows the cell's SWAT code path (listing 2); the
     data-dependent paths (the SWAT fast/slow split and its conditional
     moves) become gates driven by per-cell boolean masks computed by
     the reference DP update.
@@ -127,18 +127,6 @@ class SsearchKernel(TracedKernel):
         database: SequenceDatabase,
         scores: dict[str, int],
     ) -> None:
-        if builder.use_templates:
-            self._execute_templated(builder, query, database, scores)
-        else:
-            self._execute_scalar(builder, query, database, scores)
-
-    def _execute_templated(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
         q = query.codes
         m = len(q)
         gap_first = self.gaps.first_residue_cost
@@ -150,8 +138,7 @@ class SsearchKernel(TracedKernel):
         ss_base = builder.alloc("ss", m * 8)
         db_base = builder.alloc("db", database.residue_count, align=128)
 
-        # Query profile rows memoized per database residue code (same
-        # scores the scalar path reads cell by cell).
+        # Query profile rows memoized per database residue code.
         profile: dict[int, list[int]] = {}
         loop_taken = np.ones(m, dtype=bool)
         if m:
@@ -254,157 +241,6 @@ class SsearchKernel(TracedKernel):
 
                 builder.ctrl("row.loop", taken=j + 1 < len(s), backward=True)
 
-            r_bin = builder.ialu("drv.hist.bin", (r_best,))
-            builder.istore("drv.hist.store", ss_base, (r_bin,), size=4)
-            scores[subject.identifier] = best
-
-    def _execute_scalar(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
-        q = query.codes
-        m = len(q)
-        gap_first = self.gaps.first_residue_cost
-        gap_extend = self.gaps.extend
-        rows = self.matrix.rows
-
-        # Data layout: query profile (waa), H/E struct array (ss), and
-        # the database residues streaming through one contiguous region.
-        waa_base = builder.alloc("waa", self.matrix.size * m * 2)
-        ss_base = builder.alloc("ss", m * 8)
-        db_base = builder.alloc("db", database.residue_count, align=128)
-
-        db_cursor = db_base
-        for subject in database:
-            s = subject.codes
-            subject_base = db_cursor
-            db_cursor += len(s)
-
-            h_state = [0] * m
-            e_state = [0] * m
-            best = 0
-
-            # Per-subject driver overhead (sequence setup, stats).
-            r_sub = builder.ialu("drv.subj.setup")
-            builder.other("drv.subj.misc", (r_sub,))
-
-            for j, b_code in enumerate(s):
-                score_row = rows[b_code]
-                # Row setup: load the database residue, derive the
-                # profile row pointer, reset the running registers.
-                r_b = builder.iload(
-                    "row.loadb", subject_base + j, (r_sub,), size=1
-                )
-                r_pwaa = builder.ialu("row.pwaa", (r_b,))
-                r_ss = builder.ialu("row.ssptr")
-                r_h = builder.ialu("row.h0")
-                r_f = builder.ialu("row.f0")
-                r_diag = r_h
-                r_best = r_h
-
-                h = 0
-                f = 0
-                waa_row = waa_base + b_code * m * 2
-                for i in range(m):
-                    # h = p + *pwaa++  (diagonal + substitution score)
-                    h += score_row[q[i]]
-                    prev_h = h_state[i]
-                    e = e_state[i]
-
-                    r_val = builder.iload(
-                        "cell.pwaa", waa_row + i * 2, (r_pwaa,), size=2
-                    )
-                    r_pwaa = builder.ialu("cell.pwaa_inc", (r_pwaa,))
-                    r_h = builder.ialu("cell.add", (r_diag, r_val))
-                    r_prev = builder.iload(
-                        "cell.loadH", ss_base + i * 8, (r_ss,), size=4
-                    )
-                    r_e = builder.iload(
-                        "cell.loadE", ss_base + i * 8 + 4, (r_ss,), size=4
-                    )
-
-                    slow = (
-                        e > 0 or h > 0 or f > 0
-                        or not self.computation_avoidance
-                    )
-                    r_cmp = builder.ialu("cell.cmp_e", (r_e,))
-                    builder.ctrl("cell.br_e", taken=e > 0, sources=(r_cmp,))
-                    r_cmp = builder.ialu("cell.cmp_h", (r_h, r_f))
-                    builder.ctrl(
-                        "cell.br_h", taken=h > 0 or f > 0, sources=(r_cmp,)
-                    )
-
-                    # Reference SWAT state update (always exact); the
-                    # comparison outcomes are captured at comparison
-                    # time to drive the emitted branches below.
-                    if h < 0:
-                        h = 0
-                    f_beats_h = f > h
-                    if f_beats_h:
-                        h = f
-                    e_beats_h = e > h
-                    if e_beats_h:
-                        h = e
-                    threshold = h - gap_first
-                    f -= gap_extend
-                    f_opens = threshold > f
-                    if f_opens:
-                        f = threshold
-                    e -= gap_extend
-                    e_opens = threshold > e
-                    if e_opens:
-                        e = threshold
-                    if e < 0:
-                        e = 0
-
-                    if slow:
-                        # Full affine update: conditional moves, gap
-                        # bookkeeping, both state stores.
-                        r_cmp = builder.ialu("cell.cmp_fh", (r_f, r_h))
-                        builder.ctrl("cell.br_fh", taken=f_beats_h, sources=(r_cmp,))
-                        if f_beats_h:
-                            r_h = builder.ialu("cell.mov_f", (r_f,))
-                        r_cmp = builder.ialu("cell.cmp_eh", (r_e, r_h))
-                        builder.ctrl("cell.br_eh", taken=e_beats_h, sources=(r_cmp,))
-                        if e_beats_h:
-                            r_h = builder.ialu("cell.mov_e", (r_e,))
-                        # Gap bookkeeping uses select-style updates (the
-                        # compiler emits isel, not branches, for these).
-                        r_thr = builder.ialu("cell.thr", (r_h,))
-                        r_f = builder.ialu("cell.f_ext", (r_f,))
-                        r_f = builder.ialu("cell.f_sel", (r_thr, r_f))
-                        r_e = builder.ialu("cell.e_ext", (r_e,))
-                        r_e = builder.ialu("cell.e_sel", (r_thr, r_e))
-                        builder.istore(
-                            "cell.stE", ss_base + i * 8 + 4, (r_e, r_ss), size=4
-                        )
-                        builder.istore(
-                            "cell.stH", ss_base + i * 8, (r_h, r_ss), size=4
-                        )
-                        if h > best:
-                            r_cmp = builder.ialu("cell.cmp_best", (r_h, r_best))
-                            r_best = builder.ialu("cell.mov_best", (r_cmp,))
-                    else:
-                        # Fast path: everything non-positive, store zero.
-                        builder.istore(
-                            "cell.stH0", ss_base + i * 8, (r_h, r_ss), size=4
-                        )
-
-                    h_state[i] = h
-                    e_state[i] = e
-                    if h > best:
-                        best = h
-
-                    builder.ctrl("cell.loop", taken=i + 1 < m, backward=True)
-                    h = prev_h
-                    r_diag = r_prev
-
-                builder.ctrl("row.loop", taken=j + 1 < len(s), backward=True)
-
-            # Report path: histogram bin update per subject.
             r_bin = builder.ialu("drv.hist.bin", (r_best,))
             builder.istore("drv.hist.store", ss_base, (r_bin,), size=4)
             scores[subject.identifier] = best

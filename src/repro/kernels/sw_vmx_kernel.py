@@ -1,24 +1,23 @@
 """Traced SW_vmx128 / SW_vmx256 kernels: anti-diagonal SIMD SW.
 
 Emits the Altivec-style operation stream of the Wozniak anti-diagonal
-algorithm (:func:`repro.align.simd.sw_vmx.sw_score_vmx`): per
-wavefront step a fixed recipe of vector loads (profile gather), vector
-simple-integer ops (saturating adds/subs/maxes), vector permutes (lane
-shifts between neighbouring rows), and scalar address arithmetic — with
-loop control only at tile boundaries (listing 3's ``i += 8``/``j += 8``
-structure), which is why control instructions are ~2% of the mix.
+algorithm: per wavefront step a fixed recipe of vector loads (profile
+gather), vector simple-integer ops (saturating adds/subs/maxes), vector
+permutes (lane shifts between neighbouring rows), and scalar address
+arithmetic — with loop control only at tile boundaries (listing 3's
+``i += 8``/``j += 8`` structure), which is why control instructions are
+~2% of the mix.  A register holds ``width_bits // 16`` signed 16-bit
+score lanes: 8 for SW_vmx128, 16 for SW_vmx256.
 
 That stream depends on sequence lengths, residue codes and block
-offsets, never on a lane value, so the default templated path stamps it
-without computing the wavefront and takes each finished subject's score
-from :func:`repro.align.smith_waterman.sw_score`.  Only the scalar
-reference path (``emit_mode="scalar"``) still runs the wavefront on the
-emulated :class:`~repro.align.simd.vector.VectorUnit`; the two paths'
-traces and scores are tested byte-identical.
+offsets, never on a lane value, so the kernel stamps it without
+computing the wavefront and takes each finished subject's score from
+:func:`repro.align.smith_waterman.sw_score`.  The emitted streams are
+pinned in ``tests/golden/emission_golden.json``.
 
 The 256-bit variant executes half the wavefront steps but each of its
 permute and memory operations cracks into two 128-bit micro-ops (the
-emulated machine keeps 128-bit data paths, the scenario behind the
+modelled machine keeps 128-bit data paths, the scenario behind the
 paper's Figure 8 "+1 latency" experiment), so its instruction reduction
 is well short of 2x — the paper observes the same effect (Table III:
 79.0M -> 65.6M).
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.simd.vector import INT16_MIN, VMX128, VectorConfig, VectorUnit
 from repro.align.smith_waterman import sw_score
 from repro.align.types import GapPenalties, PAPER_GAPS
 from repro.bio.database import SequenceDatabase
@@ -41,6 +39,9 @@ from repro.kernels.base import TracedKernel
 
 #: Steps per unrolled inner tile (one back-edge per this many steps).
 UNROLL = 2
+
+#: Vector register widths the paper studies (existing and futuristic).
+WIDTHS = (128, 256)
 
 #: Per-crack-count compiled wavefront-step templates.
 _STEP_TEMPLATES: dict[int, EmitTemplate] = {}
@@ -165,16 +166,21 @@ class SwVmxKernel(TracedKernel):
 
     def __init__(
         self,
-        config: VectorConfig = VMX128,
+        width_bits: int = 128,
         matrix: ScoringMatrix = BLOSUM62,
         gaps: GapPenalties = PAPER_GAPS,
     ) -> None:
-        self.config = config
+        if width_bits not in WIDTHS:
+            raise ValueError(
+                f"width_bits={width_bits!r} is not one of {WIDTHS}"
+            )
         self.matrix = matrix
         self.gaps = gaps
-        self.name = f"sw_vmx{config.width_bits}"
+        self.name = f"sw_vmx{width_bits}"
+        #: 16-bit score lanes per vector register.
+        self.lanes = width_bits // 16
         #: 256-bit permutes/memory ops crack into two 128-bit micro-ops.
-        self.cracks = config.width_bits // 128
+        self.cracks = width_bits // 128
 
     def execute(
         self,
@@ -183,20 +189,8 @@ class SwVmxKernel(TracedKernel):
         database: SequenceDatabase,
         scores: dict[str, int],
     ) -> None:
-        if builder.use_templates:
-            self._execute_templated(builder, query, database, scores)
-        else:
-            self._execute_scalar(builder, query, database, scores)
-
-    def _execute_templated(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
         m = len(query.codes)
-        lanes = self.config.lanes
+        lanes = self.lanes
         cracks = self.cracks
         template = _step_template(cracks)
 
@@ -207,6 +201,10 @@ class SwVmxKernel(TracedKernel):
         db_base = builder.alloc("db", database.residue_count)
 
         def emit_vperm(site: str, sources: tuple[int, ...]) -> int:
+            # A 2x-wide permute on 128-bit hardware needs a cross-half
+            # fixup that consumes the first half's result, so the
+            # cracked micro-ops form a chain (this is why rg_vper grows
+            # for the 256-bit variant).
             register = builder.vperm(site, sources)
             for crack in range(1, cracks):
                 register = builder.vperm(f"{site}.c{crack}", (register,))
@@ -284,215 +282,3 @@ class SwVmxKernel(TracedKernel):
             scores[subject.identifier] = sw_score(
                 query, subject, self.matrix, self.gaps
             )
-
-    def _execute_scalar(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
-        q = query.codes
-        m = len(q)
-        unit = VectorUnit(self.config)
-        lanes = unit.lanes
-        cracks = self.cracks
-        gap_first = self.gaps.first_residue_cost
-        gap_extend = self.gaps.extend
-        rows = self.matrix.rows
-
-        gf_vec = unit.splat(gap_first)
-        ge_vec = unit.splat(gap_extend)
-        zero_vec = unit.zero()
-        sentinel = INT16_MIN
-
-        # Data layout: striped query profile, boundary rows, database.
-        profile_base = builder.alloc("profile", self.matrix.size * m * 2)
-        longest = max((len(s) for s in database), default=0)
-        hb_base = builder.alloc("h_boundary", (longest + 1) * 2)
-        fb_base = builder.alloc("f_boundary", (longest + 1) * 2)
-        db_base = builder.alloc("db", database.residue_count)
-
-        def emit_vperm(site: str, sources: tuple[int, ...]) -> int:
-            # A 2x-wide permute on 128-bit hardware needs a cross-half
-            # fixup that consumes the first half's result, so the
-            # cracked micro-ops form a chain (this is why rg_vper grows
-            # for the 256-bit variant).
-            register = builder.vperm(site, sources)
-            for crack in range(1, cracks):
-                register = builder.vperm(f"{site}.c{crack}", (register,))
-            return register
-
-        def emit_vload(
-            site: str, address: int, sources: tuple[int, ...]
-        ) -> int:
-            register = builder.vload(site, address, sources, size=16)
-            for crack in range(1, cracks):
-                r_addr = builder.ialu(f"{site}.a{crack}", sources)
-                register = builder.vload(
-                    f"{site}.c{crack}", address + 16 * crack, (r_addr,), size=16
-                )
-            return register
-
-        db_cursor = db_base
-        for subject in database:
-            s = subject.codes
-            n = len(s)
-            subject_base = db_cursor
-            db_cursor += n
-
-            h_boundary = [0] * (n + 1)
-            f_boundary = [sentinel] * (n + 1)
-            best = 0
-
-            r_sub = builder.ialu("drv.subj.setup")
-            builder.other("drv.subj.misc", (r_sub,))
-
-            for r0 in range(0, m, lanes):
-                block_codes = [q[r0 + k] if r0 + k < m else -1 for k in range(lanes)]
-                last_lane = min(lanes, m - r0) - 1
-                new_h_boundary = [0] * (n + 1)
-                new_f_boundary = [sentinel] * (n + 1)
-
-                v_h_prev = zero_vec.copy()
-                v_h_prev2 = zero_vec.copy()
-                v_e_prev = unit.splat(sentinel)
-                v_f_prev = unit.splat(sentinel)
-
-                # Block prologue: load the query stripe and reset state.
-                r_addr = builder.ialu("blk.addr", (r_sub,))
-                r_qblk = emit_vload("blk.qload", profile_base + r0 * 2, (r_addr,))
-                r_vh = builder.vperm("blk.zero", (r_qblk,))
-                r_vh2 = r_vh
-                r_ve = builder.vperm("blk.sent_e", ())
-                r_vf = builder.vperm("blk.sent_f", ())
-                r_vbest = r_vh
-
-                for t in range(1, n + lanes):
-                    subject_codes = [
-                        s[t - k - 1] if 1 <= t - k <= n else -1
-                        for k in range(lanes)
-                    ]
-
-                    # --- functional wavefront step (exact) -----------
-                    v_e = unit.vmax(
-                        unit.subs(v_h_prev, gf_vec), unit.subs(v_e_prev, ge_vec)
-                    )
-                    carry_h = h_boundary[t] if t <= n else 0
-                    carry_f = f_boundary[t] if t <= n else sentinel
-                    v_f = unit.vmax(
-                        unit.subs(unit.shift_down(v_h_prev, carry_h), gf_vec),
-                        unit.subs(unit.shift_down(v_f_prev, carry_f), ge_vec),
-                    )
-                    carry_diag = h_boundary[t - 1] if t - 1 <= n else 0
-                    v_scores = unit.gather_scores(rows, block_codes, subject_codes)
-                    v_diag = unit.adds(
-                        unit.shift_down(v_h_prev2, carry_diag), v_scores
-                    )
-                    v_h = unit.vmax(
-                        unit.vmax(v_diag, v_e), unit.vmax(v_f, zero_vec)
-                    )
-                    for k in range(lanes):
-                        if subject_codes[k] < 0:
-                            v_h[k] = 0
-                            v_e[k] = sentinel
-                            v_f[k] = sentinel
-                    lane_best = unit.horizontal_max(v_h)
-                    if lane_best > best:
-                        best = lane_best
-
-                    # --- emitted operation stream --------------------
-                    # Address arithmetic for the step (profile pointer,
-                    # boundary pointers, wavefront index update).
-                    r_addr = builder.ialu("step.addr1", (r_addr,))
-                    r_addr2 = builder.ialu("step.addr2", (r_addr,))
-                    builder.ialu("step.addr3", (r_addr,))
-                    builder.ialu("step.addr4", (r_addr2,))
-                    # New database residue enters the wavefront.
-                    db_index = min(t, n) - 1
-                    r_db = builder.iload(
-                        "step.dbload", subject_base + db_index, (r_addr2,), size=1
-                    )
-                    # Profile gather for the anti-diagonal (perm lookup).
-                    code = s[db_index]
-                    r_p1 = emit_vload(
-                        "step.prof1", profile_base + (code * m + r0) * 2, (r_db,)
-                    )
-                    r_p2 = emit_vload(
-                        "step.prof2",
-                        profile_base + (code * m + r0) * 2 + 16,
-                        (r_db,),
-                    )
-                    r_scores = emit_vperm("step.gather1", (r_p1, r_p2))
-                    r_scores = emit_vperm("step.gather2", (r_scores, r_qblk))
-                    # E update: 3 vector-simple ops.
-                    r_t1 = builder.vsimple("step.e_sub1", (r_vh,))
-                    r_t2 = builder.vsimple("step.e_sub2", (r_ve,))
-                    r_ve = builder.vsimple("step.e_max", (r_t1, r_t2))
-                    # F update: two lane shifts + 3 vector-simple ops.
-                    r_hb = builder.iload(
-                        "step.hb_load", hb_base + 2 * min(t, n), (r_addr,), size=2
-                    )
-                    r_s1 = emit_vperm("step.f_shift_h", (r_vh, r_hb))
-                    r_s2 = emit_vperm("step.f_shift_f", (r_vf, r_hb))
-                    r_t1 = builder.vsimple("step.f_sub1", (r_s1,))
-                    r_t2 = builder.vsimple("step.f_sub2", (r_s2,))
-                    r_vf = builder.vsimple("step.f_max", (r_t1, r_t2))
-                    # Diagonal + substitution scores.
-                    r_fb = builder.iload(
-                        "step.fb_load", fb_base + 2 * min(t, n), (r_addr,), size=2
-                    )
-                    r_d = emit_vperm("step.d_shift", (r_vh2, r_fb))
-                    r_d = builder.vsimple("step.d_add", (r_d, r_scores))
-                    # H = max(max(diag, E), max(F, 0)).
-                    r_t1 = builder.vsimple("step.h_max1", (r_d, r_ve))
-                    r_t2 = builder.vsimple("step.h_max2", (r_vf,))
-                    r_vh_new = builder.vsimple("step.h_max3", (r_t1, r_t2))
-                    # Running best.
-                    r_vbest = builder.vsimple("step.best", (r_vbest, r_vh_new))
-
-                    # Boundary row write-back (last valid lane).
-                    j_last = t - last_lane
-                    if 1 <= j_last <= n:
-                        new_h_boundary[j_last] = unit.extract(v_h, last_lane)
-                        new_f_boundary[j_last] = unit.extract(v_f, last_lane)
-                        # H and F boundary entries are adjacent struct
-                        # fields written with a single 4-byte store.
-                        builder.istore(
-                            "step.hb_store",
-                            hb_base + 2 * j_last,
-                            (r_vh_new, r_vf),
-                            size=4,
-                        )
-
-                    # Tile loop control (unrolled by UNROLL).
-                    if t % UNROLL == 0:
-                        r_cmp = builder.ialu("step.tile_cmp", (r_addr,))
-                        builder.ctrl(
-                            "step.tile_loop",
-                            taken=t + UNROLL < n + lanes,
-                            sources=(r_cmp,),
-                            backward=True,
-                        )
-
-                    v_h_prev2 = v_h_prev
-                    v_h_prev = v_h
-                    v_e_prev = v_e
-                    v_f_prev = v_f
-                    r_vh2 = r_vh
-                    r_vh = r_vh_new
-
-                h_boundary = new_h_boundary
-                f_boundary = new_f_boundary
-
-                # Block epilogue: horizontal max reduction of the best.
-                r_red = emit_vperm("blk.red_perm", (r_vbest,))
-                builder.vsimple("blk.red_max", (r_red, r_vbest))
-                r_cmp = builder.ialu("blk.cmp", (r_red,))
-                builder.ctrl(
-                    "blk.loop", taken=r0 + lanes < m, sources=(r_cmp,), backward=True
-                )
-
-            r_hist = builder.ialu("drv.hist.bin", (r_sub,))
-            builder.istore("drv.hist.store", hb_base, (r_hist,), size=4)
-            scores[subject.identifier] = best

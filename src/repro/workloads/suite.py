@@ -16,6 +16,7 @@ residue slice in count-only mode, exactly mirroring the paper's
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,11 +37,19 @@ DEFAULT_DATABASE = SyntheticDatabaseConfig(
 
 
 def scale_factor() -> float:
-    """Global experiment scale multiplier (``REPRO_SCALE`` env var)."""
+    """Global experiment scale multiplier (``REPRO_SCALE`` env var).
+
+    Unset means 1, and values below 0.01 are raised to that floor.  A
+    value that is not a finite number raises :class:`ValueError`
+    instead of running (and caching results) at some other scale.
+    """
+    raw = os.environ.get("REPRO_SCALE", "1")
     try:
-        value = float(os.environ.get("REPRO_SCALE", "1"))
+        value = float(raw)
     except ValueError:
-        return 1.0
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"REPRO_SCALE={raw!r} is not a finite number")
     return max(value, 0.01)
 
 

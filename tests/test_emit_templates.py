@@ -1,24 +1,33 @@
-"""Scalar vs templated emission equivalence, plus stamp-oracle fuzzing.
+"""Pinned kernel emission, plus stamp-oracle fuzzing.
 
-The block-templated fast path (``TraceBuilder.stamp``) promises
-*byte-identical* traces to per-call scalar emission.  This module holds
-that promise to account two ways:
+Kernels emit their instruction streams through block templates
+(``TraceBuilder.stamp``).  This module holds that emission to account
+two ways:
 
-* every golden kernel is run under both ``emit_mode``
-  settings and the content digests, instruction counts, scores, and
-  truncation behaviour must match exactly;
+* every kernel in ``WORKLOAD_NAMES`` is run on the tiny database
+  untruncated, under a 1500-instruction budget, and count-only, and its
+  trace digest, length, instruction count, mix, scores and truncation
+  must equal ``tests/golden/emission_golden.json``.  The pins were
+  recorded where an independent per-call emitter still existed and
+  produced the same values; a kernel edit is now checked against them;
 * randomized templates are stamped through the vectorized
   ``stamp_columns`` path and through the per-instruction interpreter
   (``_stamp_interpreted``, the documented oracle), and the resulting
   traces must be digest-identical.
+
+Do not regenerate the pin file to make a failure pass: a mismatch
+means a kernel's emitted stream changed.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.builder import EMIT_MODES, TraceBuilder
+from repro.isa.builder import TraceBuilder
 from repro.isa.emit import (
     INTERPRET_BELOW,
     Carry,
@@ -33,92 +42,84 @@ from repro.kernels.registry import WORKLOAD_NAMES, create_kernel
 from repro.runtime.keys import compute_trace_digest
 from repro.verify.tracelint import lint_trace
 
-GOLDEN = list(WORKLOAD_NAMES)
+_PINS = json.loads(
+    (Path(__file__).parent / "golden" / "emission_golden.json").read_text()
+)
 
 DATA_BASE = 0x1000_0000
 
 
+def _summary(run) -> dict:
+    """The pinned view of one kernel run (the pin file's entry shape)."""
+    entry = {}
+    if run.trace is not None:
+        entry["digest"] = compute_trace_digest(run.trace)
+        entry["length"] = len(run.trace)
+    entry["instruction_count"] = run.instruction_count
+    entry["mix"] = {op.name: run.mix.counts[op] for op in OpClass}
+    entry["scores"] = dict(sorted(run.scores.items()))
+    entry["truncated"] = run.truncated
+    entry["subjects_processed"] = run.subjects_processed
+    return entry
+
+
 @pytest.fixture(scope="module")
-def mode_runs(query, tiny_database):
-    """Every golden kernel, untruncated, in both emission modes."""
+def full_runs(query, tiny_database):
+    """Every kernel, untruncated and recorded."""
     return {
-        name: {
-            mode: create_kernel(name).run(
-                query, tiny_database, emit_mode=mode
-            )
-            for mode in EMIT_MODES
-        }
-        for name in GOLDEN
+        name: create_kernel(name).run(query, tiny_database)
+        for name in WORKLOAD_NAMES
     }
 
 
+_DIGEST_KEYS = ("digest", "length")
+
+
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("name", GOLDEN)
-    def test_digests_byte_identical(self, mode_runs, name):
-        runs = mode_runs[name]
-        digests = {
-            mode: compute_trace_digest(run.trace)
-            for mode, run in runs.items()
-        }
-        assert digests["templated"] == digests["scalar"]
+    """Each kernel's emission is identical to its pinned golden entry."""
 
-    @pytest.mark.parametrize("name", GOLDEN)
-    def test_counts_and_scores_identical(self, mode_runs, name):
-        templated, scalar = (
-            mode_runs[name]["templated"], mode_runs[name]["scalar"]
-        )
-        assert templated.mix.counts == scalar.mix.counts
-        assert templated.instruction_count == scalar.instruction_count
-        assert templated.scores == scalar.scores
-        assert templated.truncated == scalar.truncated
+    def test_pins_cover_every_workload(self, query):
+        assert sorted(_PINS["runs"]) == sorted(WORKLOAD_NAMES)
+        assert _PINS["query"] == query.identifier
 
-    @pytest.mark.parametrize("name", GOLDEN)
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_counts_and_scores_identical(self, full_runs, name):
+        summary = _summary(full_runs[name])
+        pinned = _PINS["runs"][name]["untruncated"]
+        assert {k: v for k, v in summary.items() if k not in _DIGEST_KEYS} \
+            == {k: v for k, v in pinned.items() if k not in _DIGEST_KEYS}
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_digests_byte_identical(self, full_runs, name):
+        summary = _summary(full_runs[name])
+        pinned = _PINS["runs"][name]["untruncated"]
+        for key in _DIGEST_KEYS:
+            assert summary[key] == pinned[key], key
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_budget_truncation_identical(self, query, tiny_database, name):
-        runs = {
-            mode: create_kernel(name).run(
-                query, tiny_database, limit=1500, emit_mode=mode
-            )
-            for mode in EMIT_MODES
-        }
-        assert runs["templated"].truncated and runs["scalar"].truncated
-        assert compute_trace_digest(runs["templated"].trace) == \
-            compute_trace_digest(runs["scalar"].trace)
+        limit = _PINS["limit"]
+        run = create_kernel(name).run(query, tiny_database, limit=limit)
+        assert _summary(run) == _PINS["runs"][name][f"limit_{limit}"]
         # The over-budget instruction is counted but not materialized.
-        assert runs["templated"].instruction_count == 1501
-        assert len(runs["templated"].trace) == 1500
+        assert run.truncated
+        assert run.instruction_count == limit + 1
+        assert len(run.trace) == limit
 
-    @pytest.mark.parametrize("name", GOLDEN)
-    def test_count_only_mode_identical(self, mode_runs, query,
-                                       tiny_database, name):
-        counted = create_kernel(name).run(
-            query, tiny_database, record=False, emit_mode="templated"
-        )
-        assert counted.mix.counts == mode_runs[name]["scalar"].mix.counts
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_count_only_mode_identical(self, query, tiny_database, name):
+        counted = create_kernel(name).run(query, tiny_database, record=False)
+        assert counted.trace is None
+        assert _summary(counted) == _PINS["runs"][name]["count_only"]
+        assert _summary(counted)["mix"] == \
+            _PINS["runs"][name]["untruncated"]["mix"]
 
-    def test_templated_traces_pass_lint(self, mode_runs):
-        trace = mode_runs["ssearch34"]["templated"].trace
+    def test_templated_traces_pass_lint(self, full_runs):
+        trace = full_runs["ssearch34"].trace
         assert trace.stamped_regions
         report = lint_trace(trace, include_roundtrip=False)
         assert report.ok, report.render() if hasattr(report, "render") \
             else report
-
-    def test_scalar_traces_carry_no_regions(self, mode_runs):
-        assert mode_runs["ssearch34"]["scalar"].trace.stamped_regions == ()
-
-
-class TestEmissionModeSelection:
-    def test_default_is_templated(self):
-        builder = TraceBuilder("t")
-        assert builder.emit_mode == "templated"
-        assert builder.use_templates
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TraceBuilder("t", emit_mode="fancy")
-
-    def test_explicit_mode_selects_path(self):
-        assert not TraceBuilder("t", emit_mode="scalar").use_templates
-        assert TraceBuilder("t", emit_mode="templated").use_templates
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,6 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Modules kept as test references; no entry point needs them.
 TEST_REFERENCES = {
-    # the plain-Python oracle the VMX kernel tests compare against
-    "repro.align.simd.sw_vmx",
     # the empirical Karlin-lambda oracle for served BLAST E-values
     "repro.align.statistics",
     # the mutation guards the tests share

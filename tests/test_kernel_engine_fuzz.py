@@ -19,7 +19,6 @@ from repro.kernels.blast_kernel import BlastKernel
 from repro.kernels.fasta_kernel import FastaKernel
 from repro.kernels.ssearch_kernel import SsearchKernel
 from repro.kernels.sw_vmx_kernel import SwVmxKernel
-from repro.align.simd.vector import VMX128, VMX256
 
 
 def build_inputs(seed: int):
@@ -48,10 +47,10 @@ def test_ssearch_kernel_matches_sw(seed):
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_vmx_kernels_match_sw(seed):
     query, database = build_inputs(seed)
-    for config in (VMX128, VMX256):
-        run = SwVmxKernel(config).run(query, database, record=False)
+    for width_bits in (128, 256):
+        run = SwVmxKernel(width_bits).run(query, database, record=False)
         for sid, score in run.scores.items():
-            assert score == sw_score(query, database.get(sid)), config
+            assert score == sw_score(query, database.get(sid)), width_bits
 
 @settings(max_examples=8, deadline=None)
 @given(

@@ -16,6 +16,7 @@ from repro.kernels.registry import (
     WORKLOAD_NAMES,
     create_kernel,
 )
+from repro.kernels.sw_vmx_kernel import SwVmxKernel
 
 ALL_KERNELS = list(WORKLOAD_NAMES)
 
@@ -151,26 +152,16 @@ class TestMixShape:
 
 
 class TestSwVmxTemplatedSkipsEmulation:
-    """The templated SW_vmx path stamps its stream without the vector unit.
+    """The SW_vmx kernels stamp their stream without emulating the lanes.
 
-    Its scores come from ``sw_score``; only the scalar reference path
-    still runs the wavefront on the emulated ``VectorUnit``.
+    Each finished subject's score comes from ``sw_score``; a subject the
+    budget cuts off has none.
     """
-
-    @pytest.fixture
-    def no_vector_unit(self, monkeypatch):
-        class Forbidden:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("VectorUnit constructed")
-
-        monkeypatch.setattr(
-            "repro.kernels.sw_vmx_kernel.VectorUnit", Forbidden
-        )
 
     @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
     @pytest.mark.parametrize("record", [True, False])
     def test_full_run_scores_match_reference(
-        self, no_vector_unit, name, record, query, tiny_database
+        self, name, record, query, tiny_database
     ):
         run = create_kernel(name).run(query, tiny_database, record=record)
         assert not run.truncated
@@ -180,7 +171,7 @@ class TestSwVmxTemplatedSkipsEmulation:
 
     @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
     def test_truncated_subject_has_no_score(
-        self, no_vector_unit, name, query, tiny_database
+        self, name, query, tiny_database
     ):
         kernel = create_kernel(name)
         total = kernel.run(query, tiny_database, record=False).mix.total
@@ -194,11 +185,7 @@ class TestSwVmxTemplatedSkipsEmulation:
                 query, tiny_database.get(identifier)
             )
 
-    @pytest.mark.parametrize("name", ["sw_vmx128", "sw_vmx256"])
-    def test_scalar_reference_still_emulates(
-        self, no_vector_unit, name, query, tiny_database
-    ):
-        with pytest.raises(AssertionError, match="VectorUnit constructed"):
-            create_kernel(name).run(
-                query, tiny_database, limit=1500, emit_mode="scalar"
-            )
+    def test_only_paper_widths_accepted(self):
+        assert SwVmxKernel(256).lanes == 16
+        with pytest.raises(ValueError, match="width_bits"):
+            SwVmxKernel(512)

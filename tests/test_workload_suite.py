@@ -1,5 +1,7 @@
 """Unit tests for the workload suite layer."""
 
+import pytest
+
 from repro.workloads.spec import TABLE1_WORKLOADS, spec_of
 from repro.workloads.suite import WorkloadSuite, scale_factor
 
@@ -81,5 +83,20 @@ class TestSuite:
         assert scale_factor() == 2.5
 
     def test_scale_factor_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "banana")
-        assert scale_factor() == 1.0
+        for value in ("banana", "abc", "0,1", "", "nan", "inf", "-inf"):
+            monkeypatch.setenv("REPRO_SCALE", value)
+            with pytest.raises(ValueError, match="REPRO_SCALE") as error:
+                scale_factor()
+            assert repr(value) in str(error.value)
+
+    def test_invalid_scale_fails_suite_construction(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "nan")
+        with pytest.raises(ValueError, match="REPRO_SCALE='nan'"):
+            WorkloadSuite()
+
+    @pytest.mark.parametrize(
+        ("value", "expected"), [("0.001", 0.01), ("-3", 0.01), ("1e-1", 0.1)]
+    )
+    def test_scale_factor_floor(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        assert scale_factor() == expected
