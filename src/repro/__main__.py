@@ -18,7 +18,7 @@ Usage::
     python -m repro cluster up            # replicated serving (router + N)
     python -m repro cluster restart       # zero-downtime rolling restart
     python -m repro lint-trace blast      # static trace invariant check
-    python -m repro lint-trace --all -j 4 # lint every workload, in parallel
+    python -m repro lint-trace --all -j 4 # trace all in parallel, then lint
     python -m repro lint-code             # repo-specific AST lint (REP00x)
     python -m repro lint-flow             # whole-repo call-graph lint (FL00x)
     python -m repro sweep run SPEC        # run/resume a declarative sweep
@@ -51,6 +51,7 @@ import time
 
 from repro.analysis.context import ExperimentContext
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
+from repro.workloads.suite import scale_factor
 
 
 def _export_trace(arguments: list[str]) -> int:
@@ -307,11 +308,11 @@ def _bench_command(arguments: list[str]) -> int:
 def _lint_trace_command(arguments: list[str]) -> int:
     import re
 
+    from repro.isa.serialize import load_trace
     from repro.kernels.registry import WORKLOAD_NAMES
     from repro.runtime.engine import ExperimentRuntime
     from repro.runtime.keys import trace_digest
-    from repro.runtime.tasks import Task
-    from repro.verify.tracelint import TRACE_RULES
+    from repro.verify import TRACE_RULES, lint_trace
     from repro.workloads.suite import WorkloadSuite
 
     parser = argparse.ArgumentParser(
@@ -359,38 +360,25 @@ def _lint_trace_command(arguments: list[str]) -> int:
 
     roundtrip = not options.no_roundtrip
     content_address = re.compile(r"^[0-9a-f]{16,64}$")
-    runtime = ExperimentRuntime(jobs=options.jobs)
-    try:
-        suite = WorkloadSuite()
-        if names:
-            # Trace generation fans out over the pool.
+    suite = WorkloadSuite()
+    if names:
+        # Trace generation fans out over the pool; the rules run here.
+        with ExperimentRuntime(jobs=options.jobs) as runtime:
             runtime.run_workloads(suite, tuple(names))
-        tasks = []
-        for name in names:
-            trace = suite.trace(name)
-            digest = trace_digest(trace)
-            if runtime.executor.inline:
-                ref: object = trace
-            else:
-                ref = str(runtime.cache.store_trace(digest, trace))
-            tasks.append(Task(
-                kind="lint",
-                payload=(ref, digest, roundtrip),
-                label=f"lint:{name}",
-            ))
-        for path in paths:
-            stem = os.path.basename(path).split(".")[0]
-            expected = stem if content_address.match(stem) else None
-            tasks.append(Task(
-                kind="lint",
-                payload=(str(path), expected, roundtrip),
-                label=f"lint:{path}",
-            ))
-        outcomes = runtime.executor.run_many(tasks)
-    finally:
-        runtime.close()
-
-    reports = [outcome.value for outcome in outcomes]
+    traces = []
+    for name in names:
+        trace = suite.trace(name)
+        traces.append((trace, trace_digest(trace)))
+    for path in paths:
+        stem = os.path.basename(path).split(".")[0]
+        expected = stem if content_address.match(stem) else None
+        traces.append((load_trace(path), expected))
+    reports = [
+        lint_trace(
+            trace, expected_digest=expected, include_roundtrip=roundtrip
+        ).to_dict()
+        for trace, expected in traces
+    ]
     failed = [report for report in reports if not report["ok"]]
     if options.as_json:
         print(json.dumps({
@@ -746,6 +734,11 @@ def main(argv: list[str] | None = None) -> int:
     if not arguments or arguments[0] in {"-h", "--help"}:
         print(__doc__)
         return 0
+    try:
+        scale_factor()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if arguments[0] == "list":
         for identifier in EXPERIMENTS:
             print(identifier)

@@ -45,10 +45,9 @@ from repro.workloads.suite import WorkloadSuite
 #: A simulate request: (trace, config, track_occupancy).
 SimRequest = tuple[Trace, ProcessorConfig, bool]
 
-#: Most configurations one ``simulate_batch``/``sweep_batch`` task runs
-#: over its trace.  Grouping pays because the worker loads and decodes
-#: the trace once per task; the cap keeps enough tasks in flight to
-#: fill the pool.
+#: Most configurations one ``simulate``/``sweep`` task runs over its
+#: trace.  Grouping pays because the worker loads and decodes the trace
+#: once per task; the cap keeps enough tasks in flight to fill the pool.
 BATCH_WIDTH = 8
 
 #: A search-shard request:
@@ -145,9 +144,9 @@ class ExperimentRuntime:
 
         Duplicate requests (same trace content, config, and occupancy
         flag) execute once; results come back in request order.  Misses
-        sharing a trace execute as ``simulate_batch`` tasks of up to
-        :data:`BATCH_WIDTH` configurations, so a worker loads and
-        decodes the trace once per task rather than once per config.
+        sharing a trace and occupancy flag execute as ``simulate`` tasks
+        of up to :data:`BATCH_WIDTH` configurations, so a worker loads
+        and decodes the trace once per task rather than once per config.
         """
         return self._resolve(requests, sweep=False)[0]
 
@@ -159,16 +158,15 @@ class ExperimentRuntime:
         """Resolve a batch of sweep grid points (cache-first, parallel).
 
         Like :meth:`simulate_many` — duplicates collapse, results come
-        back in request order, misses sharing a trace group into batch
+        back in request order, misses sharing a trace group into
         tasks, and the cache addresses are the same
         :func:`~repro.runtime.keys.simulate_key` digests, so sweep
         points and ad-hoc figure runs share entries byte-for-byte.  The
-        differences: ``sweep_point`` / ``sweep_batch`` workers store
-        their results into the persistent cache *themselves*, so a
-        point survives even if this orchestrating process dies before
-        the batch returns; and alongside the results comes one flag per
-        request, true where the result came from the cache rather than
-        a simulation.
+        differences: ``sweep`` workers store their results into the
+        persistent cache *themselves*, so a point survives even if this
+        orchestrating process dies before the batch returns; and
+        alongside the results comes one flag per request, true where
+        the result came from the cache rather than a simulation.
         """
         return self._resolve(requests, sweep=True)
 
@@ -206,20 +204,14 @@ class ExperimentRuntime:
         groups = _batch_groups(requests, miss_indices)
         tasks = [self._simulate_task(group, sweep) for group in groups]
         outcomes = self.executor.run_many(tasks)
-        from repro.runtime.cache import result_from_dict
-
         for (digests, trace, configs, occupancy), outcome in zip(
             groups, outcomes
         ):
-            values = (
-                outcome.value if len(digests) > 1 else [outcome.value]
-            )
-            # One metrics record per point: a batch task counts exactly
-            # like the single-config tasks it replaces (same labels,
-            # wall time split across the batch, retries charged once).
+            # One metrics record per point (same labels as a cache hit,
+            # wall time split across the task, retries charged once).
             share = outcome.wall_time / len(digests)
-            for position, (digest, config, value) in enumerate(
-                zip(digests, configs, values)
+            for position, (digest, config, result) in enumerate(
+                zip(digests, configs, outcome.value)
             ):
                 self.metrics.record_executed(
                     metric_kind,
@@ -228,10 +220,8 @@ class ExperimentRuntime:
                     outcome.retries if position == 0 else 0,
                     outcome.where,
                 )
-                if sweep:
-                    result = result_from_dict(value)
-                else:
-                    result = value
+                if not sweep:
+                    # A sweep worker already stored it.
                     self.cache.store_result(digest, result)
                 for index in miss_indices[digest]:
                     results[index] = result
@@ -249,20 +239,13 @@ class ExperimentRuntime:
             trace_ref = str(self.cache.store_trace(
                 trace_digest(trace), trace, strict=self.strict
             ))
-        # A sweep task is its simulate task plus where the worker
-        # stores the result(s) itself.
-        if len(digests) == 1:
-            kind = "sweep_point" if sweep else "simulate"
-            payload: tuple = (trace_ref, configs[0], occupancy)
-            stored = digests[0]
-            label = _simulate_label(trace, configs[0], occupancy)
-        else:
-            kind = "sweep_batch" if sweep else "simulate_batch"
-            payload = (trace_ref, tuple(configs))
-            stored = tuple(digests)
-            label = f"batch:{trace.name}@{len(configs)} configs"
+        kind = "sweep" if sweep else "simulate"
+        payload: tuple = (trace_ref, tuple(configs), occupancy)
         if sweep:
-            payload += (str(self.cache.root), stored)
+            # A sweep task is its simulate task plus where the worker
+            # stores the results itself.
+            payload += (str(self.cache.root), tuple(digests))
+        label = f"{kind}:{trace.name}@{len(configs)} configs"
         return Task(kind=kind, payload=payload, label=label)
 
     # -- search shard tasks -------------------------------------------------
@@ -500,24 +483,22 @@ _Group = tuple[list[str], Trace, list[ProcessorConfig], bool]
 def _batch_groups(
     requests: list[SimRequest], miss_indices: dict[str, list[int]]
 ) -> list[_Group]:
-    """Group cache misses by trace into tasks of ≤ BATCH_WIDTH configs.
+    """Group cache misses into tasks of ≤ BATCH_WIDTH configs.
 
-    Misses over the same trace object (the sweep and figure-driver
-    shape: one trace under many configurations) share a task, so the
-    worker loads and decodes the trace once per task.  Occupancy
-    requests stay singleton groups.
+    Misses over the same trace object with the same occupancy flag (the
+    sweep and figure-driver shape: one trace under many configurations)
+    share a task, so the worker loads and decodes the trace once per
+    task.
     """
     groups: list[_Group] = []
-    open_group: dict[int, _Group] = {}
+    open_group: dict[tuple[int, bool], _Group] = {}
     for digest, indices in miss_indices.items():
         trace, config, occupancy = requests[indices[0]]
-        if occupancy:
-            groups.append(([digest], trace, [config], True))
-            continue
-        group = open_group.get(id(trace))
+        key = (id(trace), occupancy)
+        group = open_group.get(key)
         if group is None or len(group[0]) >= BATCH_WIDTH:
-            group = ([digest], trace, [config], False)
-            open_group[id(trace)] = group
+            group = ([digest], trace, [config], occupancy)
+            open_group[key] = group
             groups.append(group)
         else:
             group[0].append(digest)

@@ -9,45 +9,28 @@ degrades (or was never parallel to begin with).
 Kinds
 -----
 ``simulate``
-    ``(trace_ref, config, track_occupancy)`` — ``trace_ref`` is either a
+    ``(trace_ref, configs, track_occupancy)`` — one trace under one or
+    more processor configurations.  ``trace_ref`` is either a
     :class:`~repro.isa.trace.Trace` (in-process executors) or the path
-    of a spilled ``.trace.npz`` (pool workers).  Returns the
-    :class:`~repro.uarch.results.SimulationResult`.
-``simulate_batch``
-    ``(trace_ref, configs)`` — one trace under many configurations:
-    the trace is loaded and decoded once, then each configuration runs
-    through :func:`repro.uarch.simulator.simulate`.  Returns the list
-    of results in config order, each byte-identical to the
-    corresponding ``simulate`` task's.
+    of a spilled ``.trace.npz`` (pool workers); the trace is loaded and
+    decoded once, then each configuration runs through
+    :func:`repro.uarch.simulator.simulate`.  Returns the list of
+    :class:`~repro.uarch.results.SimulationResult` in config order.
+``sweep``
+    ``(trace_ref, configs, track_occupancy, cache_root, digests)`` —
+    sweep grid points over one trace: the ``simulate`` body, after
+    which every point's result is stored into the content-addressed
+    cache at ``cache_root`` under its own digest *from the worker*,
+    before the list of results returns.  The worker-side store is what
+    makes sweeps resumable even when the orchestrating process dies
+    mid-batch: every finished point is durable the moment its task
+    ends, and the re-run finds it as a cache hit.
 ``trace``
     ``(name, budget, database_config, query, cache_root)`` — runs the
     instrumented kernel, stores the trace into the content-addressed
     cache at ``cache_root``, and returns a summary dict (mix counts,
     scores, truncation, subjects, trace content digest).  The trace
     itself travels through the cache file, not the result queue.
-``lint``
-    ``(trace_ref, expected_digest, include_roundtrip)`` — runs the
-    TraceLint rules (:mod:`repro.verify.tracelint`) over one trace and
-    returns the report as a plain dict.  ``trace_ref`` follows the
-    ``simulate`` convention (a Trace in-process, a spilled ``.npz``
-    path across the pool), which is what lets ``repro lint-trace
-    --all --jobs N`` fan the workload set out over the worker pool.
-``sweep_point``
-    ``(trace_ref, config, track_occupancy, cache_root, digest)`` — one
-    sweep grid point: simulates, stores the result into the
-    content-addressed cache at ``cache_root`` under ``digest`` *from
-    the worker*, and returns the result as a plain dict.  The
-    worker-side store is what makes sweeps resumable even when the
-    orchestrating process dies mid-batch: every finished point is
-    durable the moment its simulation ends, and the re-run finds it as
-    a cache hit.
-``sweep_batch``
-    ``(trace_ref, configs, cache_root, digests)`` — several sweep grid
-    points over one trace, simulated like ``simulate_batch``.  Each
-    point's result is stored under its own digest from the worker the
-    moment the batch finishes (same per-point cache entries,
-    byte-for-byte, as ``sweep_point`` would produce), and the return
-    value is the list of result dicts in config order.
 ``search_shard``
     ``(params_key, queries, database_config, shard_index, shard_count)``
     — scans one deterministic shard of the database for a *batch* of
@@ -89,16 +72,24 @@ class Task:
     label: str = ""
 
 
-def execute_simulate(payload: tuple):
-    trace_ref, config, track_occupancy = payload
+def execute_simulate(payload: tuple) -> list:
+    trace_ref, configs, track_occupancy = payload
     trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    return simulate(trace, config, track_occupancy=track_occupancy)
+    return [
+        simulate(trace, config, track_occupancy=track_occupancy)
+        for config in configs
+    ]
 
 
-def execute_simulate_batch(payload: tuple) -> list:
-    trace_ref, configs = payload
-    trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    return [simulate(trace, config) for config in configs]
+def execute_sweep(payload: tuple) -> list:
+    from repro.runtime.cache import ResultCache
+
+    trace_ref, configs, track_occupancy, cache_root, digests = payload
+    results = execute_simulate((trace_ref, configs, track_occupancy))
+    cache = ResultCache(cache_root)
+    for digest, result in zip(digests, results):
+        cache.store_result(digest, result)
+    return results
 
 
 def execute_trace(payload: tuple) -> dict:
@@ -122,41 +113,6 @@ def execute_trace(payload: tuple) -> dict:
         "subjects_processed": run.subjects_processed,
         "trace_digest": content_digest,
     }
-
-
-def execute_sweep_point(payload: tuple) -> dict:
-    from repro.runtime.cache import ResultCache, result_to_dict
-
-    trace_ref, config, track_occupancy, cache_root, digest = payload
-    trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    result = simulate(trace, config, track_occupancy=track_occupancy)
-    ResultCache(cache_root).store_result(digest, result)
-    return result_to_dict(result)
-
-
-def execute_sweep_batch(payload: tuple) -> list:
-    from repro.runtime.cache import ResultCache, result_to_dict
-
-    trace_ref, configs, cache_root, digests = payload
-    trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    results = [simulate(trace, config) for config in configs]
-    cache = ResultCache(cache_root)
-    for digest, result in zip(digests, results):
-        cache.store_result(digest, result)
-    return [result_to_dict(result) for result in results]
-
-
-def execute_lint(payload: tuple) -> dict:
-    from repro.verify import lint_trace
-
-    trace_ref, expected_digest, include_roundtrip = payload
-    trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    report = lint_trace(
-        trace,
-        expected_digest=expected_digest,
-        include_roundtrip=include_roundtrip,
-    )
-    return report.to_dict()
 
 
 #: Worker-side memo of generated databases, keyed by config identity.
@@ -268,11 +224,8 @@ def execute_selftest(payload: tuple):
 
 TASK_KINDS = {
     "simulate": execute_simulate,
-    "simulate_batch": execute_simulate_batch,
-    "sweep_point": execute_sweep_point,
-    "sweep_batch": execute_sweep_batch,
+    "sweep": execute_sweep,
     "trace": execute_trace,
-    "lint": execute_lint,
     "search_shard": execute_search_shard,
     "precompute_words": execute_precompute_words,
     "selftest": execute_selftest,

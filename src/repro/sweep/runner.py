@@ -12,7 +12,7 @@ The runner turns a validated spec into work:
    *invalidated* (recorded under a stale digest — code, scale, or spec
    drift), and *pending* points;
 4. execute pending points in bounded batches on the runtime pool
-   (``sweep_point`` tasks store results durably from the workers), and
+   (``sweep`` tasks store results durably from the workers), and
    persist the manifest after every batch.
 
 Interrupting a run — ``max_points``, a killed process, a dying worker

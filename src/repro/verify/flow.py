@@ -29,10 +29,10 @@ On top of the graph, four interprocedural rule families:
 =======  =============================================================
 FL001    nondeterminism reachable from a cached task body: any
          function transitively reachable from the runtime's cached
-         task kinds (``simulate``, ``trace``, ``sweep_point``,
-         ``lint``, ...) that can reach an unseeded RNG, a wall-clock
-         read, or unsorted set iteration.  Interprocedural REP001
-         (which still checks the modules no cached task reaches).
+         task kinds (``simulate``, ``sweep``, ``trace``, ...) that
+         can reach an unseeded RNG, a wall-clock read, or unsorted
+         set iteration.  Interprocedural REP001 (which still checks
+         the modules no cached task reaches).
 FL003    fork-shared-state safety: writes to instances of the trace
          and decode plane classes (or cross-module global mutation)
          from code reachable in fork workers.  Pre-fork planes are

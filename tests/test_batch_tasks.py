@@ -1,7 +1,7 @@
 """The runtime's trace-grouped simulation tasks.
 
-Cache misses that share a trace execute as ``simulate_batch`` (or, for
-sweeps, ``sweep_batch``) tasks of at most
+Cache misses that share a trace and occupancy flag execute as
+``simulate`` (or, for sweeps, ``sweep``) tasks of at most
 :data:`~repro.runtime.engine.BATCH_WIDTH` configurations: the worker
 loads and decodes the trace once, then runs :func:`simulate` per
 configuration.  These tests pin the grouping and check that the loop
@@ -98,7 +98,7 @@ class TestGrouping:
             )
             counts = runtime.metrics.counts()
         kinds = [task.kind for task in executor.tasks]
-        assert kinds == ["simulate_batch"] * math.ceil(count / BATCH_WIDTH)
+        assert kinds == ["simulate"] * math.ceil(count / BATCH_WIDTH)
         sizes = [len(task.payload[1]) for task in executor.tasks]
         assert sizes == [
             min(BATCH_WIDTH, count - start)
@@ -113,24 +113,24 @@ class TestGrouping:
         with ExperimentRuntime(executor=executor) as runtime:
             runtime.simulate(trace, CONFIGS[0])
         assert [task.kind for task in executor.tasks] == ["simulate"]
+        assert executor.tasks[0].payload[1:] == ((CONFIGS[0],), False)
 
-    def test_occupancy_request_stays_a_singleton_simulate_task(
+    def test_occupancy_requests_over_one_trace_form_one_simulate_task(
         self, trace
     ):
         executor = RecordingExecutor()
         requests = [(trace, config, False) for config in CONFIGS[:3]]
-        requests.insert(1, (trace, CONFIGS[5], True))
+        requests[1:1] = [(trace, CONFIGS[5], True), (trace, CONFIGS[6], True)]
         with ExperimentRuntime(executor=executor) as runtime:
             results = runtime.simulate_many(requests)
-        by_kind = sorted(
-            (task.kind, len(task.payload[1])
-             if task.kind == "simulate_batch" else task.payload[2])
+        assert [
+            (task.kind, len(task.payload[1]), task.payload[2])
             for task in executor.tasks
-        )
-        assert by_kind == [("simulate", True), ("simulate_batch", 3)]
-        assert results[1] == simulate(
-            trace, CONFIGS[5], track_occupancy=True
-        )
+        ] == [("simulate", 3, False), ("simulate", 2, True)]
+        for (_, config, occupancy), result in zip(requests, results):
+            assert result == simulate(
+                trace, config, track_occupancy=occupancy
+            )
 
     def test_cache_hits_leave_only_misses_to_group(self, trace):
         executor = RecordingExecutor()
@@ -144,9 +144,9 @@ class TestGrouping:
             )
         assert [
             (task.kind, len(task.payload[1])) for task in executor.tasks
-        ] == [("simulate_batch", 7)]
+        ] == [("simulate", 7)]
 
-    def test_sweep_points_group_into_sweep_batch_tasks(
+    def test_sweep_points_group_into_sweep_tasks(
         self, trace, tmp_path
     ):
         executor = RecordingExecutor(inline=False)
@@ -160,7 +160,7 @@ class TestGrouping:
         assert cached == [False] * len(configs)
         assert [
             (task.kind, len(task.payload[1])) for task in executor.tasks
-        ] == [("sweep_batch", 8), ("sweep_batch", 2)]
+        ] == [("sweep", 8), ("sweep", 2)]
         cache = ResultCache(str(tmp_path))
         for config, result in zip(configs, results):
             stored = cache.load_result(simulate_key(trace, config, False))
@@ -179,36 +179,32 @@ class TestNoStateLeaks:
         CONFIGS[24], CONFIGS[0], CONFIGS[9],
     ]
 
-    def test_simulate_batch_task_over_a_spilled_trace(self, trace_path):
+    @pytest.mark.parametrize("spilled", [True, False],
+                             ids=["spilled", "in_process"])
+    def test_simulate_task_matches_fresh_runs(self, trace_path, spilled):
+        trace_ref = trace_path if spilled else load_trace(trace_path)
         values = run_task(
-            "simulate_batch", (trace_path, tuple(self.SEQUENCE))
+            "simulate", (trace_ref, tuple(self.SEQUENCE), False)
         )
         assert len(values) == len(self.SEQUENCE)
         for config, value in zip(self.SEQUENCE, values):
             assert result_to_dict(value) == fresh_result(trace_path, config)
 
-    def test_simulate_batch_task_over_an_in_process_trace(
-        self, trace_path
-    ):
-        trace = load_trace(trace_path)
-        values = run_task("simulate_batch", (trace, tuple(self.SEQUENCE)))
-        for config, value in zip(self.SEQUENCE, values):
-            assert result_to_dict(value) == fresh_result(trace_path, config)
-
-    def test_sweep_batch_task_stores_and_returns_fresh_results(
+    def test_sweep_task_stores_every_point_before_returning(
         self, trace_path, tmp_path
     ):
         digests = tuple(f"{index:032x}" for index in range(len(
             self.SEQUENCE
         )))
         values = run_task(
-            "sweep_batch",
-            (trace_path, tuple(self.SEQUENCE), str(tmp_path), digests),
+            "sweep",
+            (trace_path, tuple(self.SEQUENCE), False, str(tmp_path),
+             digests),
         )
         cache = ResultCache(str(tmp_path))
         for config, digest, value in zip(self.SEQUENCE, digests, values):
             expected = fresh_result(trace_path, config)
-            assert value == expected
+            assert result_to_dict(value) == expected
             assert result_to_dict(cache.load_result(digest)) == expected
 
     def test_runtime_results_match_fresh_runs(self, trace_path):
@@ -219,6 +215,6 @@ class TestNoStateLeaks:
             results = runtime.simulate_many(
                 [(trace, config, False) for config in configs]
             )
-        assert {task.kind for task in executor.tasks} == {"simulate_batch"}
+        assert {task.kind for task in executor.tasks} == {"simulate"}
         for config, result in zip(configs, results):
             assert result_to_dict(result) == fresh_result(trace_path, config)

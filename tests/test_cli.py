@@ -27,6 +27,18 @@ class TestCli:
         assert "ssearch34" in output
         assert "completed" in output
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_non_finite_scale_is_a_usage_error(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        assert cli.main(["table1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: REPRO_SCALE={value!r} is not a finite number\n"
+        )
+
     def test_trace_usage_errors(self, capsys):
         assert cli.main(["trace"]) == 2
         assert "usage" in capsys.readouterr().err

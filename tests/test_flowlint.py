@@ -204,8 +204,7 @@ class TestRealGraph:
         expected = {
             f"repro.runtime.tasks.execute_{kind}"
             for kind in (
-                "simulate", "simulate_batch", "sweep_point",
-                "sweep_batch", "trace", "lint", "search_shard",
+                "simulate", "sweep", "trace", "search_shard",
                 "precompute_words", "selftest",
             )
         }
@@ -221,10 +220,11 @@ class TestRealGraph:
         ]
 
     def test_lazy_import_and_reexport_resolution(self, repo_graph):
-        # execute_lint imports lint_trace *inside* the function body,
-        # and the name re-exports through repro.verify's __init__.
+        # The lint-trace command imports lint_trace *inside* the
+        # function body, and the name re-exports through
+        # repro.verify's __init__.
         callees = set(repo_graph.callees(
-            "repro.runtime.tasks.execute_lint"
+            "repro.__main__._lint_trace_command"
         ))
         assert "repro.verify.tracelint.lint_trace" in callees
         assert "repro.isa.serialize.load_trace" in callees

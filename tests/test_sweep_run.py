@@ -266,7 +266,7 @@ class TestFaultTolerance:
         runtime = ExperimentRuntime(
             jobs=2,
             cache_dir=str(tmp_path / "cache"),
-            fault_hook=KillFirstN(1, "sweep_batch"),
+            fault_hook=KillFirstN(1, "sweep"),
         )
         try:
             run = run_sweep(spec, runtime)
