@@ -185,12 +185,7 @@ def _store_command(arguments: list[str]) -> int:
 
 
 def _bench_command(arguments: list[str]) -> int:
-    from repro.bench import (
-        check_regression,
-        format_report,
-        run_bench,
-        write_report,
-    )
+    from repro.bench import format_report, run_bench, write_report
 
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
@@ -210,19 +205,10 @@ def _bench_command(arguments: list[str]) -> int:
         "trace_generation breakdown) instead of the summary table",
     )
     parser.add_argument(
-        "--baseline", default=None,
-        help="compare against a stored report; exit non-zero on a "
-        "regression beyond --fail-threshold",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="compare against the committed BENCH_core.json with a "
         "tight threshold (exit non-zero on a >25%% throughput drop "
         "after normalizing for machine speed)",
-    )
-    parser.add_argument(
-        "--fail-threshold", type=float, default=3.0,
-        help="regression factor that fails the run (default 3.0)",
     )
     parser.add_argument(
         "--cluster", action="store_true",
@@ -290,23 +276,12 @@ def _bench_command(arguments: list[str]) -> int:
         if failures:
             return 1
         print(f"no regression beyond 25% vs {COMMITTED_BASELINE}")
-    if options.baseline:
-        with open(options.baseline, encoding="utf-8") as stream:
-            baseline = json.load(stream)
-        failures = check_regression(
-            report, baseline, threshold=options.fail_threshold
-        )
-        for failure in failures:
-            print(f"REGRESSION {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"no regression beyond {options.fail_threshold:g}x "
-              f"vs {options.baseline}")
     return 0
 
 
 def _lint_trace_command(arguments: list[str]) -> int:
     import re
+    import zipfile
 
     from repro.isa.serialize import load_trace
     from repro.kernels.registry import WORKLOAD_NAMES
@@ -358,8 +333,20 @@ def _lint_trace_command(arguments: list[str]) -> int:
               f"workloads: {' '.join(WORKLOAD_NAMES)}", file=sys.stderr)
         return 2
 
-    roundtrip = not options.no_roundtrip
     content_address = re.compile(r"^[0-9a-f]{16,64}$")
+    archives = []
+    for path in paths:
+        stem = os.path.basename(path).split(".")[0]
+        expected = stem if content_address.match(stem) else None
+        try:
+            archives.append((load_trace(path), expected))
+        except (OSError, EOFError, KeyError, ValueError,
+                zipfile.BadZipFile) as error:
+            print(f"error: cannot read trace archive {path}: {error}",
+                  file=sys.stderr)
+            return 2
+
+    roundtrip = not options.no_roundtrip
     suite = WorkloadSuite()
     if names:
         # Trace generation fans out over the pool; the rules run here.
@@ -369,10 +356,7 @@ def _lint_trace_command(arguments: list[str]) -> int:
     for name in names:
         trace = suite.trace(name)
         traces.append((trace, trace_digest(trace)))
-    for path in paths:
-        stem = os.path.basename(path).split(".")[0]
-        expected = stem if content_address.match(stem) else None
-        traces.append((load_trace(path), expected))
+    traces.extend(archives)
     reports = [
         lint_trace(
             trace, expected_digest=expected, include_roundtrip=roundtrip
@@ -413,23 +397,18 @@ def _lint_trace_command(arguments: list[str]) -> int:
 def _lint_code_command(arguments: list[str]) -> int:
     from pathlib import Path
 
-    from repro.verify.repolint import RULES, lint_paths, write_manifest
+    from repro.verify.repolint import RULES, lint_paths
 
     parser = argparse.ArgumentParser(
         prog="python -m repro lint-code",
-        description="Repo-specific AST lint (REP001, REP002, REP004, "
-        "REP005, REP008, REP009; see docs/verify.md) over src/repro.",
+        description=f"Repo-specific AST lint ({', '.join(RULES)}; see "
+        "docs/verify.md) over src/repro.",
     )
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories (default: all of src/repro)",
     )
     parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument(
-        "--update-manifest", action="store_true",
-        help="re-pin the REP004 serialization manifest after a "
-        "deliberate, version-bumped serialization change",
-    )
     parser.add_argument(
         "--stale-suppressions", action="store_true",
         help="audit repolint/flowlint disable comments instead: flag "
@@ -439,12 +418,6 @@ def _lint_code_command(arguments: list[str]) -> int:
         options = parser.parse_args(arguments)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-
-    if options.update_manifest:
-        manifest = write_manifest()
-        print(f"pinned serialization manifest: schema_version="
-              f"{manifest['schema_version']} digest={manifest['digest']}")
-        return 0
 
     if options.stale_suppressions:
         from repro.verify.flow import stale_suppressions

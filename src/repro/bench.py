@@ -511,32 +511,6 @@ def check_cluster_floors(report: dict[str, Any]) -> list[str]:
     return failures
 
 
-def check_regression(
-    report: dict[str, Any],
-    baseline: dict[str, Any],
-    threshold: float = 3.0,
-) -> list[str]:
-    """Compare a fresh report against a stored one.
-
-    Returns a list of failure messages for metrics whose throughput
-    dropped by more than ``threshold``x — loose on purpose: CI machines
-    vary wildly in speed, and the gate should only catch algorithmic
-    regressions (accidental de-vectorization), not machine noise.
-    """
-    failures = []
-    baseline_metrics = baseline.get("metrics", {})
-    for name, measured in report["metrics"].items():
-        reference = baseline_metrics.get(name, {}).get("ips")
-        if not reference:
-            continue
-        if measured["ips"] * threshold < reference:
-            failures.append(
-                f"{name}: {measured['ips']} ips is more than {threshold:g}x "
-                f"below the baseline {reference} ips"
-            )
-    return failures
-
-
 def format_report(report: dict[str, Any]) -> str:
     """Human-readable summary of a benchmark report."""
     lines = [

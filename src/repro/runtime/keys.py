@@ -27,9 +27,6 @@ from repro.isa.trace import Trace
 from repro.uarch.config import ProcessorConfig
 from repro.workloads.suite import scale_factor
 
-#: Bump to invalidate every cache entry on a format/semantic change.
-CACHE_SCHEMA_VERSION = 1
-
 
 def config_key(config: ProcessorConfig) -> tuple:
     """Structural identity of everything that can change a simulation."""
@@ -147,7 +144,6 @@ def simulate_key(
     """Cache address of one ``simulate(trace, config)`` task's result."""
     return _hash_material((
         "simulate",
-        CACHE_SCHEMA_VERSION,
         code_salt(),
         trace_digest(trace),
         config_key(config),
@@ -177,7 +173,6 @@ def trace_task_key(name: str, budget: int, database_config, query) -> str:
     """Cache address of one ``trace(workload)`` task's result."""
     return _hash_material((
         "trace",
-        CACHE_SCHEMA_VERSION,
         code_salt(),
         name,
         int(budget),
@@ -203,7 +198,6 @@ def search_shard_key(
     """
     return _hash_material((
         "search-shard",
-        CACHE_SCHEMA_VERSION,
         code_salt(),
         tuple(params_key),
         query_text,

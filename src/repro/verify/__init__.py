@@ -8,25 +8,28 @@ Four layers:
   as ``python -m repro lint-trace`` and as ``strict=True`` hooks in
   ``load_trace`` / ``TraceBuilder.build`` / the runtime cache.
 * **RepoLint** (:mod:`repro.verify.repolint`): per-file ``ast`` passes
-  (REP001, REP002, REP004, REP005, REP008, REP009) encoding
-  repo-specific hazards — nondeterminism, column mutation,
-  serialization-version drift, exception hygiene, per-cycle
-  allocation, and ad-hoc on-disk caches.  Exposed as ``python -m repro lint-code`` and as a
-  tier-1 pytest gate.
+  (REP001, REP002, REP005, REP008, REP009) encoding repo-specific
+  hazards in every library module — nondeterminism, trace and
+  decode-plane mutation, exception hygiene, per-cycle allocation, and
+  ad-hoc on-disk caches.  Exposed as ``python -m repro lint-code`` and
+  as a tier-1 pytest gate.
 * **SweepLint** (:mod:`repro.verify.sweeplint`): data-level validation
   rules (SW001-SW007) for declarative sweep specs, run at spec load
   time so a campaign fails before any task executes.
 * **FlowLint** (:mod:`repro.verify.flow`): whole-repo call-graph +
-  dataflow rules (FL001, FL003-FL005) — interprocedural proofs that
-  cached task bodies cannot reach nondeterminism, fork-shared planes
-  stay read-only in workers, serve coroutines cannot reach blocking
-  calls, and environment reads feeding cached results are key-salted.
+  dataflow rules (FL003-FL005) — interprocedural proofs that fork
+  workers never mutate another module's globals, serve coroutines
+  cannot reach blocking calls, and environment reads feeding cached
+  results are key-salted.
   Exposed as ``python -m repro lint-flow`` and the
   ``ExperimentRuntime(strict=True)`` hook.
 
 Cache-key completeness is proven dynamically, not by a lint rule:
 :mod:`repro.verify.guards` mutates every field of every config
-dataclass and requires ``runtime.keys.config_key`` to change.
+dataclass and requires ``runtime.keys.config_key`` to change.  Code
+changes need no rule either: every cache key hashes
+``runtime.keys.code_salt()``, a digest over every ``repro`` source
+file.
 
 See ``docs/verify.md`` for the rule catalogue and suppression syntax.
 """
@@ -46,8 +49,6 @@ from repro.verify.repolint import (
     LintViolation,
     lint_paths,
     lint_source,
-    serialization_fingerprint,
-    write_manifest,
 )
 from repro.verify.sweeplint import (
     RULES as SWEEP_RULES,
@@ -88,7 +89,5 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_trace",
-    "serialization_fingerprint",
     "stale_suppressions",
-    "write_manifest",
 ]

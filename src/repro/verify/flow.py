@@ -1,10 +1,10 @@
-"""FlowLint: whole-repo call-graph + dataflow analysis (FL001, FL003-FL005).
+"""FlowLint: whole-repo call-graph + dataflow analysis (FL003-FL005).
 
 The single-function AST layers (RepoLint, TraceLint, SweepLint) cannot
-see across calls: a wall-clock read two helpers below a cached task
-body, a trace-plane write in a helper a fork worker calls, or a
-``time.sleep`` hidden inside a synchronous helper a serve coroutine
-calls are all invisible to per-file pattern matching.  This module
+see across calls: a module-global write in a helper a fork worker
+calls, a ``time.sleep`` hidden inside a synchronous helper a serve
+coroutine calls, or an environment read two calls below a cached task
+body are all invisible to per-file pattern matching.  This module
 builds a *whole-repo* model and checks reachability and dataflow
 properties over it:
 
@@ -18,28 +18,21 @@ properties over it:
    ``execute``), dict dispatch (``TASK_KINDS[kind](payload)`` — the
    runtime's task-kind dispatch), pool callbacks (``pool.map(f, ...)``)
    and one-hop import re-exports;
-3. **forward dataflow facts** per function — nondeterminism sources,
-   blocking primitives, environment reads, and a class-taint pass that
-   tracks values of the configuration dataclasses
-   (``ProcessorConfig`` and friends) and the fork-shared plane classes
-   through assignments, attribute reads, and nested functions.
+3. **forward dataflow facts** per function — blocking primitives,
+   environment reads, module-global writes, and a class-taint pass
+   that types values of the configuration dataclasses
+   (``ProcessorConfig`` and friends) and of the trace and decode-plane
+   classes through assignments, attribute reads, and nested functions
+   so their method and property calls resolve.
 
-On top of the graph, four interprocedural rule families:
+On top of the graph, three interprocedural rule families:
 
 =======  =============================================================
-FL001    nondeterminism reachable from a cached task body: any
-         function transitively reachable from the runtime's cached
-         task kinds (``simulate``, ``sweep``, ``trace``, ...) that
-         can reach an unseeded RNG, a wall-clock read, or unsorted
-         set iteration.  Interprocedural REP001 (which still checks
-         the modules no cached task reaches).
-FL003    fork-shared-state safety: writes to instances of the trace
-         and decode plane classes (or cross-module global mutation)
-         from code reachable in fork workers.  Pre-fork planes are
-         inherited copy-on-write as shared read-only state; a
-         worker-side write silently forks the physical pages and
-         defeats the sharing — or, in-process, corrupts every later
-         configuration simulated over the same plane.
+FL003    cross-module global mutation from fork-worker code: a write
+         to another module's global (``PRESETS["k"] = v``,
+         ``TABLE.append(x)``) in code reachable from a cached task
+         body.  Each worker process mutates its own copy, so the
+         state diverges silently across workers and from the parent.
 FL004    blocking calls reachable from serve/cluster coroutines:
          ``time.sleep`` (use ``asyncio.sleep``) or an un-awaited
          ``.get()`` without arguments or ``timeout=``, written in the
@@ -52,10 +45,13 @@ FL005    environment-influence escape: an environment variable read
          entries produced under different environments.
 =======  =============================================================
 
-FL002 is retired and its id is not reused: it checked statically that
-``config_key`` reads every config field the simulator reads, and the
+Retired ids are not reused.  FL001 (nondeterminism reachable from a
+cached task) folded into RepoLint's REP001, which checks every library
+module whether a task reaches it or not.  FL002 checked statically
+that ``config_key`` reads every config field the simulator reads; the
 mutation guards in :mod:`repro.verify.guards` prove more — that
-changing any field of any config dataclass changes the key.
+changing any field of any config dataclass changes the key.  Writes
+to the trace and decode plane belong to RepoLint's REP002.
 
 Suppression: append ``# flowlint: disable=FL00x`` to the *offending*
 line (where the violation anchors), or ``# flowlint:
@@ -75,15 +71,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.verify.repolint import (
+    MUTATOR_METHODS,
     PACKAGE_ROOT,
     LintViolation,
-    nondet_findings,
     suppression_maps,
 )
 
 FLOW_RULES: dict[str, str] = {
-    "FL001": "nondeterminism reachable from a cached task body",
-    "FL003": "write to pre-fork shared state from fork-worker code",
+    "FL003": "cross-module global mutation from fork-worker code",
     "FL004": "blocking call reachable from a serve coroutine",
     "FL005": "environment read reaching cached results without key "
              "salting",
@@ -110,12 +105,6 @@ _SERVE_PREFIXES = ("repro.serve", "repro.cluster")
 #: Receiver methods that dispatch a function argument onto a pool.
 _CALLBACK_METHODS = {
     "map", "imap", "imap_unordered", "starmap", "submit", "apply_async",
-}
-#: Mutating container methods: calling one on ``tainted.attr`` counts
-#: as a write to that attribute for FL003.
-_MUTATOR_METHODS = {
-    "append", "extend", "add", "insert", "update", "setdefault",
-    "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
 }
 
 
@@ -168,36 +157,23 @@ class TaintSpec:
     configs (``config.memory.dl1``) so their method and property calls
     resolve in the call graph.
     ``name_seeds`` are parameter-name conventions used when a
-    parameter carries no annotation.  ``shared`` maps fork-shared
-    plane classes to the modules allowed to write them (FL003).
+    parameter carries no annotation.
     """
 
     config_fields: dict[str, dict[str, str | None]] = field(
         default_factory=dict
     )
     name_seeds: dict[str, str] = field(default_factory=dict)
-    shared: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def class_names(self) -> dict[str, str]:
         """bare class name → qualname for every tracked class."""
         names = {}
-        for qual in (*self.config_fields, *self.shared):
+        for qual in self.config_fields:
             names[qual.rsplit(".", 1)[-1]] = qual
         return names
 
 
 _CONFIG_MODULE = "repro.uarch.config"
-_SHARED_OWNERS = {
-    # decode.py owns the lazy `_decoded` plane memo on Trace, exactly
-    # as the isa modules own the columns (mirrors REP002's ownership).
-    "repro.isa.trace.Trace": (
-        "repro/isa/trace.py", "repro/isa/builder.py",
-        "repro/isa/serialize.py", "repro/uarch/pipeline/decode.py",
-    ),
-    "repro.uarch.pipeline.decode.DecodedTrace": (
-        "repro/uarch/pipeline/decode.py",
-    ),
-}
 
 
 def _dataclass_fields_from_source(source: str) -> dict[str, dict[str, int]]:
@@ -279,11 +255,7 @@ def default_taint_spec(package_root: Path | None = None) -> TaintSpec:
         "trace": "repro.isa.trace.Trace",
         "plane": "repro.uarch.pipeline.decode.DecodedTrace",
     }
-    return TaintSpec(
-        config_fields=config_fields,
-        name_seeds=name_seeds,
-        shared=dict(_SHARED_OWNERS),
-    )
+    return TaintSpec(config_fields=config_fields, name_seeds=name_seeds)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +276,8 @@ class FunctionFacts:
     #: time: ("qual", dotted), ("typed", (class_qual, method)),
     #: ("method", name), ("table", (module, table)), ("ref", dotted).
     calls: list[tuple] = field(default_factory=list)
-    nondet: list[tuple[int, str]] = field(default_factory=list)
     blocking: list[tuple[int, str]] = field(default_factory=list)
     env_reads: list[tuple[int, str | None]] = field(default_factory=list)
-    #: (line, class qualname, attr) — writes on tainted instances.
-    tainted_writes: list[tuple[int, str, str]] = field(default_factory=list)
     #: (line, name, owning module) — module-global mutation.
     global_writes: list[tuple[int, str, str]] = field(default_factory=list)
 
@@ -384,7 +353,7 @@ class _ModuleScanner:
         self.module_aliases: dict[str, str] = {}
         # name → dotted target for ``from m import n [as z]``.
         self.from_imports: dict[str, str] = {}
-        # Aliases in RepoLint's shape, for the shared fact cores.
+        # Aliases in RepoLint's shape, for the blocking-call facts.
         self.rep_aliases: dict[str, str] = {}
         self.local_functions: set[str] = set()
         self.local_classes: dict[str, ast.ClassDef] = {}
@@ -581,7 +550,6 @@ class _FunctionScanner:
         self.dispatch_env: dict[str, str] = {}
         #: (attr, taint) assignments to ``self`` (attr-taint pre-pass).
         self.self_assignments: list[tuple[str, str | None]] = []
-        self.tainted_writes: set[tuple[int, str, str]] = set()
         self.global_names: set[str] = set()
         self._globals_out: set[tuple[int, str, str]] = set()
 
@@ -677,9 +645,6 @@ class _FunctionScanner:
         while isinstance(base, ast.Subscript):
             base = base.value
         if isinstance(base, ast.Attribute):
-            receiver = self._eval(base.value, env)
-            if receiver is not None:
-                self.tainted_writes.add((line, receiver, base.attr))
             if (
                 isinstance(base.value, ast.Name)
                 and base.value.id == "self"
@@ -775,58 +740,12 @@ class _FunctionScanner:
             cls=self.cls_qual,
             is_coroutine=isinstance(self.node, ast.AsyncFunctionDef),
         )
-        facts.nondet = self._nondet()
         facts.blocking = blocking_findings(self.node, self.owner.rep_aliases)
         self._walk_effects(facts)
-        facts.tainted_writes = sorted(self.tainted_writes)
         facts.global_writes = sorted(
             set(facts.global_writes) | self._globals_out
         )
         return facts
-
-    def _nondet(self) -> list[tuple[int, str]]:
-        found = nondet_findings(
-            self.node, self.owner.rep_aliases, self.owner.from_imports
-        )
-        found.extend(self._unsorted_set_iteration())
-        return sorted(set(found))
-
-    def _unsorted_set_iteration(self) -> list[tuple[int, str]]:
-        """Iterating a set of strings is PYTHONHASHSEED-dependent."""
-        sorted_args: set[int] = set()
-        for node in ast.walk(self.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in {"sorted", "len", "min", "max", "sum"}
-            ):
-                for argument in node.args:
-                    sorted_args.add(id(argument))
-        iterables: list[ast.expr] = []
-        for node in ast.walk(self.node):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iterables.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                       ast.GeneratorExp)
-            ):
-                iterables.extend(gen.iter for gen in node.generators)
-        findings = []
-        for iterable in iterables:
-            if id(iterable) in sorted_args:
-                continue
-            is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
-                isinstance(iterable, ast.Call)
-                and isinstance(iterable.func, ast.Name)
-                and iterable.func.id in {"set", "frozenset"}
-            )
-            if is_set:
-                findings.append((
-                    iterable.lineno,
-                    "iterates a set in hash order; wrap in sorted() — "
-                    "string hashing varies per process (PYTHONHASHSEED)",
-                ))
-        return findings
 
     def _walk_env(self) -> dict[str, str]:
         """The settled taint env plus nested-function param seeds.
@@ -854,7 +773,7 @@ class _FunctionScanner:
             if isinstance(node, ast.Call):
                 self._record_call(node, facts, awaited_env)
                 self._record_env_call(node, facts)
-                self._record_mutator(node, facts, awaited_env)
+                self._record_mutator(node)
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.ctx, ast.Load
             ):
@@ -961,26 +880,17 @@ class _FunctionScanner:
                 variable = _const_str(node.args[0]) if node.args else None
                 facts.env_reads.append((node.lineno, variable))
 
-    def _record_mutator(
-        self, node: ast.Call, facts: FunctionFacts, env: dict[str, str]
-    ) -> None:
+    def _record_mutator(self, node: ast.Call) -> None:
         func = node.func
         if not (
             isinstance(func, ast.Attribute)
-            and func.attr in _MUTATOR_METHODS
+            and func.attr in MUTATOR_METHODS
         ):
             return
-        target = func.value
-        base = target
+        base = func.value
         while isinstance(base, ast.Subscript):
             base = base.value
-        if isinstance(base, ast.Attribute):
-            receiver = self._eval_quiet(base.value, env)
-            if receiver is not None:
-                self.tainted_writes.add(
-                    (node.lineno, receiver, base.attr)
-                )
-        elif isinstance(base, ast.Name):
+        if isinstance(base, ast.Name):
             self._record_global_write(base.id, node.lineno)
 
 
@@ -1318,57 +1228,16 @@ def default_task_roots(graph: FlowGraph) -> list[str]:
     ]
 
 
-def fl001(
-    graph: FlowGraph, roots: list[str] | None = None
-) -> list[FlowViolation]:
-    """Nondeterminism reachable from a cached task body."""
-    if roots is None:
-        roots = default_task_roots(graph)
-    parents = reachable(graph, roots)
-    violations = []
-    for qual in parents:
-        info = graph.functions[qual]
-        for line, message in info.nondet:
-            violations.append(FlowViolation(
-                "FL001", info.relative, line,
-                f"{message} — reachable from cached task "
-                f"{chain_to(parents, qual)[0].rsplit('.', 1)[-1]}, so "
-                "cached results would not be reproducible",
-                chain=chain_to(parents, qual),
-            ))
-    return violations
-
-
 def fl003(
-    graph: FlowGraph,
-    fork_roots: list[str] | None = None,
-    shared: dict[str, tuple[str, ...]] | None = None,
+    graph: FlowGraph, fork_roots: list[str] | None = None
 ) -> list[FlowViolation]:
-    """Writes to pre-fork shared state from fork-worker code."""
-    if shared is None:
-        shared = dict(_SHARED_OWNERS)
+    """Cross-module global mutation from fork-worker code."""
     if fork_roots is None:
         fork_roots = default_task_roots(graph)
     parents = reachable(graph, fork_roots)
     violations = []
     for qual in parents:
         info = graph.functions[qual]
-        for line, class_qual, attr in info.tainted_writes:
-            owners = shared.get(class_qual)
-            if owners is None:
-                continue
-            relative = info.relative.replace("\\", "/")
-            if any(relative.endswith(owner) for owner in owners):
-                continue
-            class_name = class_qual.rsplit(".", 1)[-1]
-            violations.append(FlowViolation(
-                "FL003", info.relative, line,
-                f"writes {class_name}.{attr} from code reachable in "
-                "fork workers; pre-fork planes are shared "
-                "copy-on-write and must stay read-only outside "
-                f"{', '.join(owners)}",
-                chain=chain_to(parents, qual),
-            ))
         for line, name, owner_module in info.global_writes:
             if owner_module == info.module:
                 continue
@@ -1460,7 +1329,6 @@ def fl005(
 
 
 FLOW_RULE_IMPLS = {
-    "FL001": fl001,
     "FL003": fl003,
     "FL004": fl004,
     "FL005": fl005,

@@ -8,12 +8,14 @@ real one):
 
 =======  =============================================================
 REP001   nondeterminism in library code: wall-clock reads, unseeded
-         RNG, global NumPy random state (outside the CLI/bench tools)
-REP002   direct mutation of trace columns or the decode plane outside
-         their owning modules (derive a new trace instead:
-         ``Trace.slice``, or ``Trace(name, columns=...)`` over copies)
-REP004   digest-relevant serialization code changed without bumping
-         ``CACHE_SCHEMA_VERSION`` (tracked via a pinned manifest)
+         RNG, global NumPy random state, or iteration over a set in
+         hash order (outside the CLI/bench tools)
+REP002   mutation of a trace or its decode plane outside their owning
+         modules: a store through ``columns``, ``_decoded``,
+         ``stamped_regions`` or ``_instructions`` (subscripted or
+         rebound), or a mutating method call (``pop``, ``sort``, ...)
+         on one.  Derive a new trace instead: ``Trace.slice``, or
+         ``Trace(name, columns=...)`` over copies
 REP005   bare ``except`` or silently swallowed broad ``except`` in the
          ``repro.runtime`` workers/executors
 REP008   per-cycle Python-object allocation in ``repro.uarch`` cycle
@@ -41,8 +43,11 @@ fields missing from the cache key belong to the mutation guards in
 :mod:`repro.verify.guards`; blocking calls in serve coroutines belong
 to FlowLint's FL004.  The rule against hand-rolled
 configuration grids in the analysis drivers retired with the grids:
-the Fig. 3-7 and 9 grids expand through :mod:`repro.sweep.plan`
-(``docs/verify.md`` lists each retired id).
+the Fig. 3-7 and 9 grids expand through :mod:`repro.sweep.plan`.  The
+serialization-manifest rule retired in favour of the code salt every
+cache key hashes (:func:`repro.runtime.keys.code_salt`): any source
+edit already changes every key (``docs/verify.md`` lists each retired
+id).
 
 Suppression: append ``# repolint: disable=REP00x`` (comma-separated for
 several rules) to the offending line, or put
@@ -52,9 +57,7 @@ several rules) to the offending line, or put
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -66,7 +69,6 @@ PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 RULES: dict[str, str] = {
     "REP001": "nondeterminism in library code",
     "REP002": "trace/decode-plane mutation outside owning modules",
-    "REP004": "serialization change without a schema-version bump",
     "REP005": "bare or silently swallowed broad except in repro.runtime",
     "REP008": "per-cycle object allocation in a repro.uarch cycle loop",
     "REP009": "ad-hoc on-disk cache outside the storage layer",
@@ -96,6 +98,19 @@ REP002_OWNERS = (
     "uarch/pipeline/decode.py",
 )
 
+#: Trace and decode-plane attributes REP002 guards: the SoA columns,
+#: the lazy decode-plane memo, the stamped-region record, and the
+#: plane's instruction list.
+REP002_ATTRS = {"columns", "_decoded", "stamped_regions", "_instructions"}
+
+#: Mutating container methods: calling one on a guarded attribute is
+#: a write (REP002), and on an imported module global a cross-module
+#: mutation (FlowLint's FL003).
+MUTATOR_METHODS = {
+    "append", "extend", "add", "insert", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
+}
+
 #: Where REP005 applies.
 REP005_SCOPE = "runtime/"
 
@@ -116,26 +131,10 @@ REP009_WRITERS: dict[str, set[str]] = {
     "shelve": {"open"},
 }
 
-#: Definitions whose source feeds the REP004 manifest digest: any
-#: edit here can change cache-entry bytes or their addresses, so it
-#: must be a conscious, versioned decision.
-DIGEST_RELEVANT: dict[str, tuple[str, ...]] = {
-    "isa/trace.py": ("MAX_SOURCES", "COLUMN_DTYPES"),
-    "isa/serialize.py": (
-        "FORMAT_VERSION", "trace_columns", "save_trace", "load_trace",
-    ),
-    "runtime/keys.py": (
-        "config_key", "compute_trace_digest", "simulate_key",
-        "trace_task_key",
-    ),
-}
-
-MANIFEST_PATH = Path(__file__).resolve().parent / "serialization_manifest.json"
-
 #: Suppression comment grammars.  RepoLint and FlowLint share the same
 #: machinery (:func:`suppression_maps`), differing only in the tag, so
-#: a ``flowlint: disable=FL003`` comment behaves exactly like a
-#: ``repolint: disable=REP002`` one.
+#: a ``flowlint: disable=FL005`` comment behaves exactly like a
+#: ``repolint: disable=REP001`` one.
 _DISABLE_PATTERNS: dict[str, tuple[re.Pattern, re.Pattern]] = {
     tag: (
         re.compile(rf"#\s*{tag}:\s*disable=([A-Z0-9, ]+)"),
@@ -280,14 +279,12 @@ def nondet_findings(
     aliases: dict[str, str],
     from_imports: dict[str, str],
 ) -> list[tuple[int, str]]:
-    """Nondeterminism sources in one subtree (the REP001/FL001 core).
+    """Nondeterminism sources in one module (REP001's core).
 
-    ``tree`` may be a whole module or a single function node; alias
-    maps come from the enclosing module.  Shared by the per-file REP001
-    pass and the flow engine's per-function fact extraction, so the two
-    layers can never disagree about what counts as nondeterministic.
+    ``aliases``/``from_imports`` map local names to the modules and
+    dotted targets they import.
     """
-    findings: list[tuple[int, str]] = []
+    findings = _unsorted_set_iteration(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -343,6 +340,43 @@ def nondet_findings(
             findings.append((node.lineno, f"uuid.{func.attr}() call"))
         elif root == "secrets":
             findings.append((node.lineno, f"secrets.{func.attr}() call"))
+    return sorted(findings)
+
+
+def _unsorted_set_iteration(tree: ast.AST) -> list[tuple[int, str]]:
+    """Iterating a set of strings is PYTHONHASHSEED-dependent."""
+    sorted_args: set[int] = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in {"sorted", "len", "min", "max", "sum"}
+        ):
+            for argument in node.args:
+                sorted_args.add(id(argument))
+    iterables: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iterables.append(node.iter)
+        elif isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            iterables.extend(gen.iter for gen in node.generators)
+    findings = []
+    for iterable in iterables:
+        if id(iterable) in sorted_args:
+            continue
+        is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
+            isinstance(iterable, ast.Call)
+            and isinstance(iterable.func, ast.Name)
+            and iterable.func.id in {"set", "frozenset"}
+        )
+        if is_set:
+            findings.append((
+                iterable.lineno,
+                "iterates a set in hash order; wrap in sorted() — "
+                "string hashing varies per process (PYTHONHASHSEED)",
+            ))
     return findings
 
 
@@ -358,19 +392,20 @@ def _rep001(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 # REP002 — column / decode-plane mutation
 # ----------------------------------------------------------------------
 
-def _subscript_base(node: ast.expr) -> ast.expr:
+def _guarded_attr(node: ast.expr) -> str | None:
+    """The guarded attribute a store or mutator call goes through."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    return node
+    if isinstance(node, ast.Attribute) and node.attr in REP002_ATTRS:
+        return node.attr
+    return None
 
 
-def _targets_columns(node: ast.expr) -> bool:
-    base = _subscript_base(node)
-    return (
-        isinstance(node, ast.Subscript)
-        and isinstance(base, ast.Attribute)
-        and base.attr == "columns"
-    )
+_REP002_HINT = (
+    "traces and decode planes are immutable outside their owning "
+    "modules — derive a new Trace (Trace.slice, or Trace(name, "
+    "columns=...) over copied columns)"
+)
 
 
 def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
@@ -379,10 +414,22 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
     findings: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
+        if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_METHODS
+        ):
+            attr = _guarded_attr(node.func.value)
+            if attr is not None:
+                findings.append((
+                    node.lineno,
+                    f"calls .{node.func.attr}() on trace `{attr}`; "
+                    + _REP002_HINT,
+                ))
         for target in targets:
             elements = (
                 target.elts
@@ -390,119 +437,12 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
                 else [target]
             )
             for element in elements:
-                if _targets_columns(element):
+                attr = _guarded_attr(element)
+                if attr is not None:
                     findings.append((
-                        node.lineno,
-                        "writes into trace columns; columns are "
-                        "immutable outside repro.isa — derive a new "
-                        "Trace (Trace.slice, or Trace(name, "
-                        "columns=...) over copied columns)",
-                    ))
-                elif (
-                    isinstance(element, ast.Attribute)
-                    and element.attr == "_decoded"
-                ):
-                    findings.append((
-                        node.lineno,
-                        "writes the cached decode plane; only "
-                        "repro.uarch.pipeline.decode may do that",
+                        node.lineno, f"writes trace `{attr}`; " + _REP002_HINT
                     ))
     return findings
-
-
-# ----------------------------------------------------------------------
-# REP004 — serialization manifest
-# ----------------------------------------------------------------------
-
-def _definition_source(source: str, names: tuple[str, ...]) -> str:
-    """Concatenated source segments of the named top-level definitions."""
-    tree = ast.parse(source)
-    segments = []
-    for node in tree.body:
-        matched = None
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ) and node.name in names:
-            matched = node.name
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in names:
-                    matched = target.id
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ) and node.target.id in names:
-            matched = node.target.id
-        if matched is not None:
-            segment = ast.get_source_segment(source, node) or ""
-            segments.append(f"### {matched}\n{segment}")
-    return "\n".join(segments)
-
-
-def _current_schema_version() -> int:
-    source = (PACKAGE_ROOT / "runtime" / "keys.py").read_text()
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "CACHE_SCHEMA_VERSION"
-                ):
-                    return int(ast.literal_eval(node.value))
-    raise LookupError("CACHE_SCHEMA_VERSION not found in runtime/keys.py")
-
-
-def serialization_fingerprint() -> dict:
-    """Digest of every digest-relevant definition plus the schema version."""
-    digest = hashlib.blake2b(digest_size=16)
-    for relative in sorted(DIGEST_RELEVANT):
-        source = (PACKAGE_ROOT / relative).read_text()
-        digest.update(relative.encode())
-        digest.update(
-            _definition_source(source, DIGEST_RELEVANT[relative]).encode()
-        )
-    return {
-        "schema_version": _current_schema_version(),
-        "digest": digest.hexdigest(),
-    }
-
-
-def write_manifest(path: Path | None = None) -> dict:
-    """Refresh the pinned manifest (``repro lint-code --update-manifest``)."""
-    manifest = serialization_fingerprint()
-    target = MANIFEST_PATH if path is None else path
-    target.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest
-
-
-def _rep004() -> list[LintViolation]:
-    relative = "repro/runtime/keys.py"
-    try:
-        manifest = json.loads(MANIFEST_PATH.read_text())
-    except (OSError, ValueError):
-        return [LintViolation(
-            "REP004", relative, 1,
-            "serialization manifest missing/corrupt; run "
-            "`python -m repro lint-code --update-manifest`",
-        )]
-    current = serialization_fingerprint()
-    if current == manifest:
-        return []
-    if (
-        current["digest"] != manifest.get("digest")
-        and current["schema_version"] == manifest.get("schema_version")
-    ):
-        return [LintViolation(
-            "REP004", relative, 1,
-            "digest-relevant serialization code changed without bumping "
-            "CACHE_SCHEMA_VERSION; bump it in runtime/keys.py, then run "
-            "`python -m repro lint-code --update-manifest`",
-        )]
-    return [LintViolation(
-        "REP004", relative, 1,
-        "serialization manifest is stale; run "
-        "`python -m repro lint-code --update-manifest`",
-    )]
 
 
 # ----------------------------------------------------------------------
@@ -746,11 +686,7 @@ def lint_paths(
     paths: list[Path] | None = None,
     rules: set[str] | None = None,
 ) -> list[LintViolation]:
-    """Run RepoLint over source files (defaults to all of ``src/repro``).
-
-    The repo-level rule REP004 checks the pinned serialization manifest
-    on every run, whatever the paths.
-    """
+    """Run RepoLint over source files (defaults to all of ``src/repro``)."""
     if paths is None:
         files = sorted(PACKAGE_ROOT.rglob("*.py"))
     else:
@@ -767,7 +703,5 @@ def lint_paths(
         except ValueError:
             relative = str(path)
         violations.extend(lint_source(path.read_text(), relative, rules=rules))
-    if rules is None or "REP004" in rules:
-        violations.extend(_rep004())
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return violations

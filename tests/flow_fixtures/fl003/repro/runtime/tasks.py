@@ -1,17 +1,19 @@
-"""FL003 fixture: fork-reachable code mutating a shared Trace."""
+"""FL003 fixture: fork-reachable code mutating another module's global."""
 
+from repro.config.presets import register
 from repro.sim.mutate import scrub, scrub_quiet, total
 
 
 def execute_simulate(payload):
-    trace, flag = payload
-    if flag:
-        scrub(trace)
-    return total(trace)
+    if payload:
+        scrub()
+    register("seen", payload)
+    return total()
 
 
 def execute_trace(payload):
-    return scrub_quiet(payload)
+    scrub_quiet()
+    return payload
 
 
 TASK_KINDS = {

@@ -1,18 +1,19 @@
-"""FL003 fixture: the write hides one helper below the task body."""
+"""FL003 fixture: the global write hides one helper below the task body."""
+
+from repro.config.presets import PRESETS
 
 
-def scrub(trace):
-    _reset(trace)
+def scrub():
+    _reset()
 
 
-def _reset(trace):
-    trace.cols = ()
+def _reset():
+    PRESETS["k"] = 1
 
 
-def scrub_quiet(trace):
-    trace.cols = ()  # flowlint: disable=FL003
-    return trace
+def scrub_quiet():
+    PRESETS.clear()  # flowlint: disable=FL003
 
 
-def total(trace):
-    return len(trace.cols)
+def total():
+    return len(PRESETS)

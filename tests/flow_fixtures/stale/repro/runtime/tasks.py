@@ -1,14 +1,14 @@
 """Stale-suppression fixture: one live disable, one dead one."""
 
-import time
+import os
 
 
 def execute_simulate(payload):
-    return _now(payload)
+    return _mode(payload)
 
 
-def _now(payload):
-    return (payload, time.time())  # flowlint: disable=FL001
+def _mode(payload):
+    return (payload, os.environ.get("REPRO_MODE"))  # flowlint: disable=FL005
 
 
 def plain(value):

@@ -87,6 +87,23 @@ class TestLintTrace:
         assert completed.returncode == 2
         assert "not-a-workload" in completed.stderr
 
+    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    def test_unreadable_archive_is_a_usage_error(
+        self, damage, clean_archive, tmp_path
+    ):
+        path = tmp_path / "bad.npz"
+        if damage == "text":
+            path.write_text("not an archive\n")
+        else:
+            data = clean_archive.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        completed = run_cli("lint-trace", str(path))
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: ")
+        assert str(path) in completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
+
 
 class TestLintCode:
     def test_repo_is_clean(self):
@@ -101,7 +118,7 @@ class TestLintCode:
         assert payload["ok"] is True
         assert payload["violations"] == []
         assert set(payload["rules"]) == {
-            "REP001", "REP002", "REP004", "REP005", "REP008", "REP009",
+            "REP001", "REP002", "REP005", "REP008", "REP009",
         }
 
     def test_single_path_scope(self, tmp_path):
@@ -131,14 +148,12 @@ class TestLintFlow:
         payload = json.loads(completed.stdout)
         assert payload["ok"] is True
         assert payload["violations"] == []
-        assert set(payload["rules"]) == {
-            "FL001", "FL003", "FL004", "FL005",
-        }
+        assert set(payload["rules"]) == {"FL003", "FL004", "FL005"}
         assert payload["graph"]["functions"] > 500
         assert payload["graph"]["edges"] > 1000
 
     def test_rule_subset_and_unknown_rule(self):
-        completed = run_cli("lint-flow", "--rules", "FL001,FL004")
+        completed = run_cli("lint-flow", "--rules", "FL003,FL004")
         assert completed.returncode == 0
         completed = run_cli("lint-flow", "--rules", "FL999")
         assert completed.returncode == 2
@@ -150,7 +165,15 @@ class TestLintFlow:
         completed = run_cli("lint-flow", "--rules", "FL002")
         assert completed.returncode == 2
         assert "unknown flow rule(s): FL002" in completed.stderr
-        assert "known: FL001 FL003 FL004 FL005" in completed.stderr
+        assert "known: FL003 FL004 FL005" in completed.stderr
+
+    def test_retired_fl001_is_unknown(self):
+        # FL001 folded into REP001, which scans every library module.
+        completed = run_cli("lint-flow", "--rules", "FL001")
+        assert completed.returncode == 2
+        assert "unknown flow rule(s): FL001" in completed.stderr
+        assert "known: FL003 FL004 FL005" in completed.stderr
+
 
 class TestStaleSuppressionsCli:
     def test_repo_suppressions_all_live(self):

@@ -2,22 +2,15 @@
 
 ``TestRepoGate`` is the tier-1 gate: the shipped package must be clean
 under every REP rule, so any regression (a new wall-clock read in
-library code, a column mutation outside repro.isa, a serialization edit
-without a version bump, a swallowed except in the runtime) fails the
-suite.
+library code, a column mutation outside repro.isa, a swallowed except
+in the runtime) fails the suite.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 from repro.verify import lint_paths, lint_source
-from repro.verify.repolint import (
-    MANIFEST_PATH,
-    serialization_fingerprint,
-    write_manifest,
-)
 
 LIB = "repro/analysis/synthetic_module.py"
 RUNTIME = "repro/runtime/synthetic_module.py"
@@ -99,6 +92,28 @@ class TestRep001Nondeterminism:
         assert lint(source, "repro/bench.py") == []
         assert rules_of(lint(source, LIB)) == ["REP001"]
 
+    def test_set_iteration_in_hash_order_flagged(self):
+        violations = lint(
+            """
+            def names(table):
+                for name in {"a", "b"}:
+                    table.append(name)
+                return [x for x in set(table)]
+            """
+        )
+        assert rules_of(violations) == ["REP001", "REP001"]
+        assert "PYTHONHASHSEED" in violations[0].message
+
+    def test_sorted_set_iteration_is_legal(self):
+        assert lint(
+            """
+            def names(table):
+                for name in sorted({"a", "b"}):
+                    table.append(name)
+                return [x for x in sorted(set(table))], len(set(table))
+            """
+        ) == []
+
 
 class TestRep002ColumnMutation:
     def test_column_write_flagged_outside_owners(self):
@@ -120,13 +135,43 @@ class TestRep002ColumnMutation:
         )
         assert rules_of(violations) == ["REP002"]
 
+    def test_mutator_call_on_columns_flagged(self):
+        violations = lint(
+            """
+            def drop(trace):
+                trace.columns.pop("ops")
+                trace.columns["ops"].sort()
+            """
+        )
+        assert rules_of(violations) == ["REP002", "REP002"]
+        assert ".pop()" in violations[0].message
+        assert ".sort()" in violations[1].message
+
+    def test_rebinding_plane_attributes_flagged(self):
+        violations = lint(
+            """
+            def reset(trace, plane):
+                trace.stamped_regions = ()
+                trace.columns = {}
+                plane._instructions = []
+            """
+        )
+        assert rules_of(violations) == ["REP002"] * 3
+        assert "stamped_regions" in violations[0].message
+
     def test_owning_modules_may_mutate(self):
         source = """
         def build(trace):
             trace.columns["sizes"][0] = 8
             trace._decoded = None
+            trace.columns.pop("ops")
+            trace.columns["ops"].sort()
+            trace.stamped_regions = ()
+            trace.columns = {}
         """
+        assert rules_of(lint(source)) == ["REP002"] * 6
         assert lint(source, "repro/isa/trace.py") == []
+        assert lint(source, "repro/isa/builder.py") == []
         assert lint(source, "repro/uarch/pipeline/decode.py") == []
 
     def test_reads_and_fresh_dicts_are_legal(self):
@@ -226,47 +271,6 @@ class TestSuppression:
             """
         )
         assert rules_of(violations) == ["REP001", "REP002"]
-
-
-class TestRep004Manifest:
-    def test_fingerprint_is_deterministic(self):
-        assert serialization_fingerprint() == serialization_fingerprint()
-
-    def test_pinned_manifest_matches_current_sources(self):
-        pinned = json.loads(MANIFEST_PATH.read_text())
-        assert pinned == serialization_fingerprint(), (
-            "digest-relevant serialization code changed; bump "
-            "CACHE_SCHEMA_VERSION and run "
-            "`python -m repro lint-code --update-manifest`"
-        )
-
-    def test_write_manifest_to_explicit_path(self, tmp_path):
-        target = tmp_path / "manifest.json"
-        manifest = write_manifest(target)
-        assert json.loads(target.read_text()) == manifest
-        assert set(manifest) == {"schema_version", "digest"}
-
-    def test_drift_names_the_version_bump(self, monkeypatch, tmp_path):
-        from repro.verify import repolint
-
-        stale = serialization_fingerprint()
-        stale["digest"] = "0" * 32
-        target = tmp_path / "manifest.json"
-        target.write_text(json.dumps(stale))
-        monkeypatch.setattr(repolint, "MANIFEST_PATH", target)
-        violations = repolint._rep004()
-        assert rules_of(violations) == ["REP004"]
-        assert "CACHE_SCHEMA_VERSION" in violations[0].message
-
-    def test_missing_manifest_reported(self, monkeypatch, tmp_path):
-        from repro.verify import repolint
-
-        monkeypatch.setattr(
-            repolint, "MANIFEST_PATH", tmp_path / "absent.json"
-        )
-        violations = repolint._rep004()
-        assert rules_of(violations) == ["REP004"]
-        assert "--update-manifest" in violations[0].message
 
 
 class TestRep006BlockingCalls:

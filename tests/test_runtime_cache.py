@@ -1,6 +1,11 @@
 """Tests for the runtime's content-addressed cache and its keys."""
 
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +243,31 @@ class TestKeys:
         salt = code_salt()
         assert salt == code_salt()
         int(salt, 16)
+
+    def test_serialization_edit_changes_code_salt(self, tmp_path):
+        # The salt is the only version every cache key carries: an
+        # edit to the trace format must change it, with no schema
+        # constant to bump by hand.
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+        def salt_of_copy() -> str:
+            completed = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.runtime.keys import code_salt; "
+                 "print(code_salt())"],
+                capture_output=True, text=True, check=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(copy.parent)},
+            )
+            return completed.stdout.strip()
+
+        assert salt_of_copy() == code_salt()
+        serialize = copy / "isa" / "serialize.py"
+        serialize.write_bytes(serialize.read_bytes() + b"\n")
+        assert salt_of_copy() != code_salt()
 
     def test_trace_task_key_varies(self, small_suite):
         base = trace_task_key(
