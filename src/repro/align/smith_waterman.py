@@ -37,8 +37,18 @@ def sw_score(
     SWAT control-flow optimizations; it defines the correct score that
     all other implementations must reproduce.
     """
-    q = as_sequence(query).codes
-    s = as_sequence(subject).codes
+    return sw_score_codes(
+        as_sequence(query).codes, as_sequence(subject).codes, matrix, gaps
+    )
+
+
+def sw_score_codes(
+    q: tuple[int, ...],
+    s: tuple[int, ...],
+    matrix: ScoringMatrix = BLOSUM62,
+    gaps: GapPenalties = PAPER_GAPS,
+) -> int:
+    """:func:`sw_score` over residue-code tuples."""
     if not q or not s:
         return 0
     gap_first = gaps.first_residue_cost

@@ -9,6 +9,11 @@ Three throughputs cover the stages the performance work targets:
 * **simulation** — the out-of-order core's cycle loop over the decode
   plane (simulated instructions/second).
 
+A separate ``decode_plane`` section records what the decode plane
+costs on Fig. 8's two paired traces, the longest any experiment
+simulates: bytes kept per instruction (tracemalloc) and decode
+throughput (instructions/second).
+
 Methodology: every metric is the *best of N* repetitions.  On shared
 machines the run-to-run spread is dominated by scheduler and frequency
 noise, so the maximum rate is the most stable estimate of what the
@@ -21,15 +26,18 @@ rework, so reports can show the speedup without needing the old code.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.bio.synthetic import SyntheticDatabaseConfig
+from repro.bio.queries import default_query
+from repro.bio.synthetic import SyntheticDatabaseConfig, generate_database
 from repro.isa.serialize import load_trace, save_trace
 from repro.isa.trace import Trace
 from repro.uarch.config import (
@@ -40,8 +48,10 @@ from repro.uarch.config import (
     PROC_8WAY,
     PROC_16WAY,
 )
+from repro.kernels.registry import create_kernel
+from repro.uarch.pipeline.decode import DecodedTrace
 from repro.uarch.simulator import simulate
-from repro.workloads.suite import WorkloadSuite
+from repro.workloads.suite import DEFAULT_DATABASE, WorkloadSuite
 
 #: Throughput of each stage measured at the commit preceding the
 #: columnar rework (same workload, parameters, and best-of-N protocol).
@@ -186,8 +196,54 @@ def bench_simulate(trace: Trace, repeats: int) -> dict[str, Any]:
     }
 
 
+#: Workloads whose Fig. 8 paired traces the decode-plane bench decodes.
+DECODE_WORKLOADS = ("sw_vmx128", "sw_vmx256")
+
+
+def bench_decode_plane(repeats: int) -> dict[str, Any]:
+    """Decode-plane cost on Fig. 8's paired traces.
+
+    Each trace is the default database's first subject traced in full,
+    which is Fig. 8's paired slice at every ``REPRO_SCALE`` below ~3.8
+    (see :meth:`WorkloadSuite.paired_traces`).  ``kept_bytes_per_
+    instruction`` and ``peak_bytes_per_instruction`` are what
+    tracemalloc sees one :class:`DecodedTrace` build keep and peak at;
+    ``ips`` is the best-of-N decode throughput with tracing off.
+    """
+    database = generate_database(DEFAULT_DATABASE).slice(1)
+    query = default_query()
+    per_workload = {}
+    for workload in DECODE_WORKLOADS:
+        trace = create_kernel(workload).run(
+            query, database, record=True, limit=None
+        ).trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plane = DecodedTrace(trace)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del plane
+        ips, instructions = _best_rate(
+            lambda trace=trace: DecodedTrace(trace).n, repeats
+        )
+        per_workload[workload] = {
+            "instructions": instructions,
+            "kept_bytes_per_instruction": round(
+                (kept - before) / instructions, 1
+            ),
+            "peak_bytes_per_instruction": round(
+                (peak - before) / instructions, 1
+            ),
+            "ips": round(ips),
+        }
+    return {"repeats": repeats, "per_workload": per_workload}
+
+
 def run_bench(quick: bool = False) -> dict[str, Any]:
-    """Run all three benchmarks; returns the report dictionary."""
+    """Run all the benchmarks; returns the report dictionary."""
     repeats = 2 if quick else 5
     suite = _make_suite()
     trace = suite.trace(BENCH_WORKLOAD)
@@ -213,6 +269,7 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
         "metrics": metrics,
         "reference_ips": dict(REFERENCE_IPS),
         "speedup_vs_reference": speedups,
+        "decode_plane": bench_decode_plane(repeats),
     }
 
 
@@ -531,6 +588,18 @@ def format_report(report: dict[str, Any]) -> str:
                 lines.append(
                     f"    {label:16s} {sub['ips']:>10,} instr/s"
                 )
+    decode = report.get("decode_plane")
+    if isinstance(decode, dict):
+        lines.append(
+            f"decode plane (Fig. 8 paired traces, best of "
+            f"{decode['repeats']}):"
+        )
+        for label, sub in decode["per_workload"].items():
+            lines.append(
+                f"  {label:18s} {sub['ips']:>10,} instr/s  "
+                f"{sub['kept_bytes_per_instruction']:6.1f} B/instr kept, "
+                f"{sub['peak_bytes_per_instruction']:6.1f} peak"
+            )
     if isinstance(report.get("cluster"), dict):
         lines.append(format_cluster(report["cluster"]))
     return "\n".join(lines)

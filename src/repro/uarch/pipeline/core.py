@@ -125,7 +125,7 @@ class OutOfOrderCore:
         takens = plane.taken
         targets = plane.target
         words_of = plane.words
-        sources_of = plane.sources
+        distances_of = plane.distances
 
         # Per-instruction state.
         done = bytearray(n)
@@ -462,7 +462,8 @@ class OutOfOrderCore:
                     iq_count[fu] += 1
                     iq_append[fu](index)
                     pending = 0
-                    for source in sources_of[index]:
+                    for back in distances_of[index]:
+                        source = index - back
                         if not done[source]:
                             pending += 1
                             wakeup = waiters[source]
@@ -787,7 +788,8 @@ class OutOfOrderCore:
     def _blame_sources(self, index: int, done: bytearray) -> Trauma:
         """Blame the first unready producer of ``index``."""
         plane = self._plane
-        for source in plane.sources[index]:
+        for back in plane.distances[index]:
+            source = index - back
             if not done[source]:
                 return _RG_OF[plane.fu[source]]
         return Trauma.OTHER

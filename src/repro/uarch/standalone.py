@@ -39,7 +39,7 @@ def run_cache_only_batch(
     addresses = plane.address
     sizes = plane.size
     indices = [
-        i for i, memory_op in enumerate(plane.is_memory) if memory_op
+        i for i, words in enumerate(plane.words) if words is not None
     ]
     results: list[tuple[CacheResult, CacheResult]] = []
     for memory in memories:

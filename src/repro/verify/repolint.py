@@ -9,13 +9,15 @@ real one):
 =======  =============================================================
 REP001   nondeterminism in library code: wall-clock reads, unseeded
          RNG, global NumPy random state, or iteration over a set in
-         hash order (outside the CLI/bench tools)
+         hash order, directly or through a local bound to one
+         (outside the CLI/bench tools)
 REP002   mutation of a trace or its decode plane outside their owning
          modules: a store through ``columns``, ``_decoded``,
          ``stamped_regions`` or ``_instructions`` (subscripted or
          rebound), or a mutating method call (``pop``, ``sort``, ...)
-         on one.  Derive a new trace instead: ``Trace.slice``, or
-         ``Trace(name, columns=...)`` over copies
+         on one, directly or through a local alias of one or of
+         ``decode_trace(...)``.  Derive a new trace instead:
+         ``Trace.slice``, or ``Trace(name, columns=...)`` over copies
 REP005   bare ``except`` or silently swallowed broad ``except`` in the
          ``repro.runtime`` workers/executors
 REP008   per-cycle Python-object allocation in ``repro.uarch`` cycle
@@ -270,6 +272,51 @@ def _attr_chain(node: ast.expr) -> list[str]:
     return parts
 
 
+def _scopes(tree: ast.AST) -> list[list[ast.AST]]:
+    """The nodes of each scope in source order: the module, each
+    function, each class.
+
+    A scope's list stops at nested function and class bodies, which
+    are scopes of their own, so a local name never leaks across them.
+    Source order lets a rule track what a local name holds at a line:
+    ``ops = ops.copy()`` ends an alias that ``ops = trace.columns[...]``
+    began.
+    """
+    owners = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda
+        ))
+    ]
+    scopes = []
+    for owner in owners:
+        nodes: list[ast.AST] = []
+        stack = list(ast.iter_child_nodes(owner))
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda
+            )):
+                stack.extend(ast.iter_child_nodes(node))
+        nodes.sort(key=lambda node: (
+            getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
+        ))
+        scopes.append(nodes)
+    return scopes
+
+
+def _bound_names(node: ast.AST) -> list[str]:
+    """Plain local names an assignment statement binds to its value."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
 # ----------------------------------------------------------------------
 # REP001 — nondeterminism
 # ----------------------------------------------------------------------
@@ -354,30 +401,45 @@ def _unsorted_set_iteration(tree: ast.AST) -> list[tuple[int, str]]:
         ):
             for argument in node.args:
                 sorted_args.add(id(argument))
-    iterables: list[ast.expr] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            iterables.append(node.iter)
-        elif isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            iterables.extend(gen.iter for gen in node.generators)
     findings = []
-    for iterable in iterables:
-        if id(iterable) in sorted_args:
-            continue
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id in {"set", "frozenset"}
-        )
-        if is_set:
-            findings.append((
-                iterable.lineno,
-                "iterates a set in hash order; wrap in sorted() — "
-                "string hashing varies per process (PYTHONHASHSEED)",
-            ))
-    return findings
+    for scope in _scopes(tree):
+        # Locals bound to a set (``seen = set(names)``) iterate in hash
+        # order as much as the set expression itself.
+        set_names: set[str] = set()
+        for node in scope:
+            iterables: list[ast.expr] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iterables.append(node.iter)
+            elif isinstance(node, (
+                ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+            )):
+                iterables.extend(gen.iter for gen in node.generators)
+            for iterable in iterables:
+                if id(iterable) in sorted_args:
+                    continue
+                if _is_set_expr(iterable) or (
+                    isinstance(iterable, ast.Name)
+                    and iterable.id in set_names
+                ):
+                    findings.append((
+                        iterable.lineno,
+                        "iterates a set in hash order; wrap in sorted() — "
+                        "string hashing varies per process (PYTHONHASHSEED)",
+                    ))
+            for name in _bound_names(node):
+                if _is_set_expr(node.value):
+                    set_names.add(name)
+                else:
+                    set_names.discard(name)
+    return sorted(findings)
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"set", "frozenset"}
+    )
 
 
 def _rep001(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
@@ -392,13 +454,34 @@ def _rep001(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 # REP002 — column / decode-plane mutation
 # ----------------------------------------------------------------------
 
-def _guarded_attr(node: ast.expr) -> str | None:
-    """The guarded attribute a store or mutator call goes through."""
-    while isinstance(node, ast.Subscript):
+def _guarded_attr(
+    node: ast.expr, aliases: dict[str, str], *, bare: bool = True
+) -> str | None:
+    """The guarded attribute a store or mutator call goes through.
+
+    Follows subscripts and attributes down to a guarded attribute, a
+    :func:`~repro.uarch.pipeline.decode.decode_trace` call, or a local
+    name in ``aliases`` (name -> the guarded attribute it came from).
+    A bare alias name counts only when ``bare``: rebinding ``ops`` is
+    not a write, ``ops.sort()`` is.
+    """
+    start = node
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute) and node.attr in REP002_ATTRS:
+            return node.attr
         node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in REP002_ATTRS:
-        return node.attr
+    if isinstance(node, ast.Call) and _call_name(node) == "decode_trace":
+        return "_decoded"
+    if isinstance(node, ast.Name) and (bare or node is not start):
+        return aliases.get(node.id)
     return None
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
 
 
 _REP002_HINT = (
@@ -412,7 +495,24 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
     if relative.endswith(REP002_OWNERS):
         return []
     findings: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
+    for scope in _scopes(tree):
+        findings.extend(_rep002_scope(scope))
+    return sorted(findings)
+
+
+def _rep002_scope(scope: list[ast.AST]) -> list[tuple[int, str]]:
+    # Local name -> guarded attribute it currently aliases
+    # (``ops = trace.columns["ops"]``, ``plane = decode_trace(trace)``,
+    # and so an alias of an alias: ``fu = plane.fu``).
+    aliases: dict[str, str] = {}
+    findings: list[tuple[int, str]] = []
+    for node in scope:
+        for name in _bound_names(node):
+            attr = _guarded_attr(node.value, aliases)
+            if attr is None:
+                aliases.pop(name, None)
+            else:
+                aliases[name] = attr
         targets: list[ast.expr] = []
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -423,7 +523,7 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in MUTATOR_METHODS
         ):
-            attr = _guarded_attr(node.func.value)
+            attr = _guarded_attr(node.func.value, aliases)
             if attr is not None:
                 findings.append((
                     node.lineno,
@@ -437,7 +537,7 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
                 else [target]
             )
             for element in elements:
-                attr = _guarded_attr(element)
+                attr = _guarded_attr(element, aliases, bare=False)
                 if attr is not None:
                     findings.append((
                         node.lineno, f"writes trace `{attr}`; " + _REP002_HINT

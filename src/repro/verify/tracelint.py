@@ -702,7 +702,11 @@ def check_decode_plane(trace: Trace) -> list[TraceViolation]:
     Verifies the *cached* plane when one exists (catching columns that
     were mutated after decoding, or a stale plane shipped through
     pickling) and a freshly built plane otherwise (catching decode
-    logic that disagrees with the authoritative ISA tables).
+    logic that disagrees with the authoritative ISA tables).  The
+    interned columns (``pc``, ``line``, ``address``, ``target``,
+    ``words``) must equal the values re-derived from the raw columns,
+    and ``i - d`` over ``distances[i]`` must rebuild row ``i`` of the
+    ``sources`` column.
     """
     from repro.uarch.pipeline.decode import (
         FETCH_LINE_SHIFT,
@@ -759,7 +763,6 @@ def check_decode_plane(trace: Trace) -> list[TraceViolation]:
     mismatch(
         "is_branch", (ops == int(OpClass.CTRL)).tolist(), decoded.is_branch
     )
-    mismatch("is_memory", _MEMORY_MASK[ops].tolist(), decoded.is_memory)
     pcs = columns["pcs"]
     mismatch("pc", pcs.tolist(), decoded.pc)
     mismatch("line", (pcs >> FETCH_LINE_SHIFT).tolist(), decoded.line)
@@ -784,11 +787,16 @@ def check_decode_plane(trace: Trace) -> list[TraceViolation]:
         )
     mismatch("words", expected_words, decoded.words)
 
+    # The plane keeps producer distances; rebuild absolute producers.
     expected_sources = [
-        tuple(int(s) for s in row if s >= 0)
+        tuple(s for s in row if s >= 0)
         for row in columns["sources"].tolist()
     ]
-    mismatch("sources", expected_sources, decoded.sources)
+    rebuilt_sources = [
+        tuple(index - back for back in row)
+        for index, row in enumerate(decoded.distances)
+    ]
+    mismatch("distances", expected_sources, rebuilt_sources)
     return violations
 
 

@@ -1,9 +1,9 @@
 """``docs/performance.md``'s tables must agree with ``BENCH_core.json``.
 
 The tables are written by hand, so they drift whenever the bench file
-is re-recorded.  These tests parse every row of the stage table and of
-the per-workload trace-generation table and compare them with the
-committed bench file.
+is re-recorded.  These tests parse every row of the stage table, the
+per-workload trace-generation table and the decode-plane table and
+compare them with the committed bench file.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ _ROW = re.compile(
 _WORKLOAD_HEADER = "| workload    | templated (instr/s) |"
 _WORKLOAD_ROW = re.compile(
     r"^\|\s*`(?P<workload>[^`]+)`\s*\|\s*(?P<ips>[\d,]+)\s*\|$"
+)
+
+_DECODE_HEADER = (
+    "| trace       | instructions | kept (B/instr) | peak (B/instr) "
+    "| decode (instr/s) |"
+)
+_DECODE_ROW = re.compile(
+    r"^\|\s*`(?P<workload>[^`]+)`\s*\|\s*(?P<instructions>[\d,]+)\s*"
+    r"\|\s*(?P<kept>[\d.]+)\s*\|\s*(?P<peak>[\d.]+)\s*"
+    r"\|\s*(?P<ips>[\d,]+)\s*\|$"
 )
 
 
@@ -70,3 +80,18 @@ def test_per_workload_emission_table_matches_bench_file():
     for workload, row in rows.items():
         assert int(row["ips"].replace(",", "")) == \
             per_workload[workload]["ips"], workload
+
+
+def test_decode_plane_table_matches_bench_file():
+    per_workload = _bench()["decode_plane"]["per_workload"]
+    rows = _table_rows(_DECODE_HEADER, _DECODE_ROW, "workload")
+    assert set(rows) == set(per_workload)
+    for workload, row in rows.items():
+        recorded = per_workload[workload]
+        assert int(row["instructions"].replace(",", "")) == \
+            recorded["instructions"], workload
+        assert float(row["kept"]) == \
+            recorded["kept_bytes_per_instruction"], workload
+        assert float(row["peak"]) == \
+            recorded["peak_bytes_per_instruction"], workload
+        assert int(row["ips"].replace(",", "")) == recorded["ips"], workload

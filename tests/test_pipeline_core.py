@@ -1,10 +1,14 @@
 """Behavioural tests for the out-of-order core on hand-built traces."""
 
 import gc
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.isa.builder import TraceBuilder
+from repro.isa.trace import COLUMN_DTYPES, MAX_SOURCES, Trace
+from repro.kernels.registry import WORKLOAD_NAMES
 from repro.uarch.config import (
     BP_PERFECT,
     ME1,
@@ -12,7 +16,7 @@ from repro.uarch.config import (
     PROC_4WAY,
     PROC_8WAY,
 )
-from repro.uarch.pipeline.decode import decode_trace
+from repro.uarch.pipeline.decode import DecodedTrace, decode_trace
 from repro.uarch.simulator import simulate
 
 
@@ -45,6 +49,71 @@ class TestDecodePlane:
             (gc.enable if was_enabled else gc.disable)()
         assert decoded.n == 50
         assert decode_trace(trace) is decoded
+
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_distances_rebuild_the_sources_column(self, small_suite, workload):
+        trace = small_suite.trace(workload)
+        plane = DecodedTrace(trace)
+        rebuilt = [
+            tuple(index - back for back in row)
+            for index, row in enumerate(plane.distances)
+        ]
+        assert rebuilt == [
+            tuple(source for source in row if source >= 0)
+            for row in trace.columns["sources"].tolist()
+        ]
+
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_interned_columns_share_objects(self, small_suite, workload):
+        plane = DecodedTrace(small_suite.trace(workload))
+        for name in ("pc", "line", "address", "target", "words", "distances"):
+            column = getattr(plane, name)
+            shared = {id(value) for value in column}
+            assert len(shared) == len(set(column)), name
+
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_kept_plane_is_at_most_160_bytes_per_instruction(
+        self, small_suite, workload
+    ):
+        trace = small_suite.trace(workload)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plane = DecodedTrace(trace)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plane.n == len(trace)
+        assert kept / len(trace) <= 160
+
+    def test_distances_wider_than_21_bits(self):
+        # Distances from 2**21 up take 22 bits, so a row of three no
+        # longer packs into one 63-bit key; the dedup must still tell
+        # these rows apart.
+        n = (1 << 21) + 3
+        columns = {
+            name: np.broadcast_to(np.zeros(1, dtype=dtype), (n,))
+            for name, dtype in COLUMN_DTYPES.items()
+            if name != "sources"
+        }
+        sources = np.full((n, MAX_SOURCES), -1, dtype=np.int64)
+        sources[n - 3] = [1, 0, 5]
+        sources[n - 2] = [0, 2, -1]
+        sources[n - 1] = [-1, 0, 1]
+        sources[n - 4] = [n - 5, -1, 0]
+        columns["sources"] = sources
+        plane = DecodedTrace(Trace("wide", columns=columns))
+        far = n - 1
+        assert far.bit_length() == 22
+        assert plane.distances[n - 4:] == [
+            (1, far - 3),
+            (far - 3, far - 2, far - 7),
+            (far - 1, far - 3),
+            (far, far - 1),
+        ]
+        assert plane.distances[0] == ()
+        assert len({id(row) for row in plane.distances[:n - 4]}) == 1
 
 
 class TestConservation:

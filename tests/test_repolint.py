@@ -104,6 +104,33 @@ class TestRep001Nondeterminism:
         assert rules_of(violations) == ["REP001", "REP001"]
         assert "PYTHONHASHSEED" in violations[0].message
 
+    def test_iteration_over_a_local_set_flagged(self):
+        violations = lint(
+            """
+            def names(table):
+                seen = set(table)
+                for name in seen:
+                    table.append(name)
+                return [x for x in seen]
+            """
+        )
+        assert rules_of(violations) == ["REP001", "REP001"]
+        assert [violation.line for violation in violations] == [4, 6]
+
+    def test_local_set_rebound_or_sorted_is_legal(self):
+        assert lint(
+            """
+            def names(table):
+                seen = set(table)
+                ordered = [x for x in sorted(seen)]
+                seen = sorted(seen)
+                return ordered, [x for x in seen]
+
+            def other(seen):
+                return [x for x in seen]
+            """
+        ) == []
+
     def test_sorted_set_iteration_is_legal(self):
         assert lint(
             """
@@ -173,6 +200,54 @@ class TestRep002ColumnMutation:
         assert lint(source, "repro/isa/trace.py") == []
         assert lint(source, "repro/isa/builder.py") == []
         assert lint(source, "repro/uarch/pipeline/decode.py") == []
+
+    def test_write_through_local_column_alias_flagged(self):
+        violations = lint(
+            """
+            def clamp(trace):
+                ops = trace.columns["ops"]
+                ops[0] = 1
+                columns = trace.columns
+                sizes = columns["sizes"]
+                sizes.sort()
+                del columns["takens"]
+            """
+        )
+        assert rules_of(violations) == ["REP002"] * 3
+        assert [violation.line for violation in violations] == [4, 7, 8]
+
+    def test_write_through_decode_plane_alias_flagged(self):
+        violations = lint(
+            """
+            from repro.uarch.pipeline.decode import decode_trace
+
+            def poke(trace):
+                plane = decode_trace(trace)
+                plane.fu[0] = 0
+                latency = plane.latency
+                latency[0] += 1
+                cached = trace._decoded
+                cached.words.append(None)
+            """
+        )
+        assert rules_of(violations) == ["REP002"] * 3
+        assert [violation.line for violation in violations] == [6, 8, 10]
+        assert "`_decoded`" in violations[0].message
+
+    def test_rebound_alias_and_other_scopes_are_legal(self):
+        assert lint(
+            """
+            def copy_first(trace):
+                ops = trace.columns["ops"]
+                ops = ops.copy()
+                ops[0] = 1
+                return ops
+
+            def unrelated(ops, plane):
+                ops[0] = 1
+                plane.fu[0] = 0
+            """
+        ) == []
 
     def test_reads_and_fresh_dicts_are_legal(self):
         assert lint(
