@@ -19,8 +19,7 @@ Usage::
     python -m repro cluster restart       # zero-downtime rolling restart
     python -m repro lint-trace blast      # static trace invariant check
     python -m repro lint-trace --all -j 4 # trace all in parallel, then lint
-    python -m repro lint-code             # repo-specific AST lint (REP00x)
-    python -m repro lint-flow             # whole-repo call-graph lint (FL00x)
+    python -m repro lint-code             # repo-specific AST lint (REP0xx)
     python -m repro sweep run SPEC        # run/resume a declarative sweep
     python -m repro sweep status SPEC     # manifest progress (no simulation)
     python -m repro sweep report SPEC     # render text/JSON/HTML report
@@ -397,7 +396,7 @@ def _lint_trace_command(arguments: list[str]) -> int:
 def _lint_code_command(arguments: list[str]) -> int:
     from pathlib import Path
 
-    from repro.verify.repolint import RULES, lint_paths
+    from repro.verify.repolint import RULES, lint_paths, stale_suppressions
 
     parser = argparse.ArgumentParser(
         prog="python -m repro lint-code",
@@ -411,8 +410,8 @@ def _lint_code_command(arguments: list[str]) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument(
         "--stale-suppressions", action="store_true",
-        help="audit repolint/flowlint disable comments instead: flag "
-        "any that no longer suppress a finding",
+        help="audit repolint disable comments instead: flag any that "
+        "no longer suppress a finding",
     )
     try:
         options = parser.parse_args(arguments)
@@ -420,8 +419,6 @@ def _lint_code_command(arguments: list[str]) -> int:
         return int(exit_.code or 0)
 
     if options.stale_suppressions:
-        from repro.verify.flow import stale_suppressions
-
         stale = stale_suppressions()
         if options.as_json:
             print(json.dumps({
@@ -459,69 +456,6 @@ def _lint_code_command(arguments: list[str]) -> int:
             print(violation)
         print(f"{len(violations)} violation(s)"
               if violations else "repolint: clean")
-    return 1 if violations else 0
-
-
-def _lint_flow_command(arguments: list[str]) -> int:
-    from repro.verify.flow import FLOW_RULES, build_graph, lint_flow
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint-flow",
-        description="Whole-repo call-graph + dataflow lint "
-        f"({', '.join(FLOW_RULES)}, see docs/verify.md): interprocedural "
-        "proofs of determinism of cached tasks, fork-shared-state "
-        "safety, event-loop blocking reachability, and cache-key "
-        "salting of environment reads over src/repro.",
-    )
-    parser.add_argument(
-        "--rules", metavar="FL00x[,FL00y]",
-        help="comma-separated rule subset (default: all)",
-    )
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    try:
-        options = parser.parse_args(arguments)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
-
-    rules = None
-    if options.rules:
-        rules = {
-            rule.strip().upper() for rule in options.rules.split(",")
-            if rule.strip()
-        }
-        unknown = rules - set(FLOW_RULES)
-        if unknown:
-            print(f"unknown flow rule(s): {', '.join(sorted(unknown))}; "
-                  f"known: {' '.join(FLOW_RULES)}", file=sys.stderr)
-            return 2
-
-    graph = build_graph()
-    violations = lint_flow(graph=graph, rules=rules)
-    edge_count = sum(len(out) for out in graph.edges.values())
-    stats = (
-        f"{graph.modules} modules, {len(graph.functions)} functions, "
-        f"{edge_count} call edges ({graph.built_seconds:.2f}s)"
-    )
-    if options.as_json:
-        print(json.dumps({
-            "rules": FLOW_RULES,
-            "ok": not violations,
-            "graph": {
-                "modules": graph.modules,
-                "functions": len(graph.functions),
-                "edges": edge_count,
-                "built_seconds": graph.built_seconds,
-                "digest": graph.digest,
-            },
-            "violations": [v.to_dict() for v in violations],
-        }, indent=2))
-    else:
-        for violation in violations:
-            print(violation)
-        if violations:
-            print(f"{len(violations)} violation(s)  [{stats}]")
-        else:
-            print(f"flowlint: clean  [{stats}]")
     return 1 if violations else 0
 
 
@@ -740,8 +674,6 @@ def main(argv: list[str] | None = None) -> int:
         return _lint_trace_command(arguments[1:])
     if arguments[0] == "lint-code":
         return _lint_code_command(arguments[1:])
-    if arguments[0] == "lint-flow":
-        return _lint_flow_command(arguments[1:])
     if arguments[0] == "sweep":
         return _sweep_command(arguments[1:])
     return _run_experiments(arguments)

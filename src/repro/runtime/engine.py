@@ -31,6 +31,7 @@ from repro.runtime.executor import (
     TaskOutcome,
 )
 from repro.runtime.keys import (
+    code_salt,
     search_shard_key,
     simulate_key,
     trace_digest,
@@ -53,6 +54,22 @@ BATCH_WIDTH = 8
 #: A search-shard request:
 #: (params, query, database_config, shard_index, shard_count).
 SearchRequest = tuple[SearchParams, Sequence, object, int, int]
+
+#: ``code_salt()`` values whose package linted clean in this process.
+_linted_salts: set[str] = set()
+
+
+def _lint_package_once() -> None:
+    """Raise RepoLintError if the package has findings (once per salt)."""
+    salt = code_salt()
+    if salt in _linted_salts:
+        return
+    from repro.verify.repolint import RepoLintError, lint_paths
+
+    violations = lint_paths()
+    if violations:
+        raise RepoLintError(violations)
+    _linted_salts.add(salt)
 
 
 class ExperimentRuntime:
@@ -84,14 +101,12 @@ class ExperimentRuntime:
         self.cache = ResultCache(cache_dir)
         if strict:
             # Strict runs also prove the *code* sound before spending
-            # compute on it: the whole-repo flow rules (docs/verify.md)
-            # run once per process per source state and raise
-            # FlowLintError on any violation.  A cached task whose body
-            # can reach nondeterminism or an unsalted environment read
-            # would poison every result this runtime caches.
-            from repro.verify.flow import check_flow
-
-            check_flow()
+            # compute on it: RepoLint (docs/verify.md) runs over the
+            # package once per code_salt() and raises RepoLintError on
+            # any finding.  A task that reads the wall clock, mutates
+            # another module's globals or reads an unkeyed environment
+            # variable would poison every result this runtime caches.
+            _lint_package_once()
         if executor is not None:
             self.executor = executor
         elif jobs > 1:

@@ -85,7 +85,9 @@ def _run_inline(task: Task, retries: int) -> TaskOutcome:
 
 def _worker_loop(inbox, outbox, fault_hook) -> None:
     while True:
-        item = inbox.get()
+        # A pool worker process's main loop: it runs on no event loop,
+        # and waiting for the next task is all it does.
+        item = inbox.get()  # repolint: disable=REP011
         if item is None:
             return
         index, kind, payload = item

@@ -198,9 +198,10 @@ def execute_selftest(payload: tuple):
     if operation == "raise":
         raise RuntimeError("selftest failure")
     if operation == "sleep":
-        # Fault-injection scaffolding: serve never submits selftest
-        # tasks, so this sleep cannot reach the event loop.
-        time.sleep(arguments[0])  # flowlint: disable=FL004
+        # Fault-injection scaffolding: it runs in a pool worker, and
+        # serve never submits selftest tasks, so this sleep cannot
+        # reach an event loop.
+        time.sleep(arguments[0])  # repolint: disable=REP011
         return "slept"
     if operation == "exit_once":
         # Dies the first time only: the marker file survives the crash,
@@ -217,7 +218,7 @@ def execute_selftest(payload: tuple):
         if not marker.exists():
             marker.touch()
             # Same scaffolding-only reasoning as the "sleep" operation.
-            time.sleep(arguments[1])  # flowlint: disable=FL004
+            time.sleep(arguments[1])  # repolint: disable=REP011
         return "recovered"
     raise ValueError(f"unknown selftest operation {operation!r}")
 

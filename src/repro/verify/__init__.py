@@ -1,6 +1,6 @@
 """repro.verify — static trace/ISA invariant checker and domain lint.
 
-Four layers:
+Three layers:
 
 * **TraceLint** (:mod:`repro.verify.tracelint`): vectorized
   well-formedness rules (TR001-TR011) over the SoA trace columns and
@@ -8,21 +8,16 @@ Four layers:
   as ``python -m repro lint-trace`` and as ``strict=True`` hooks in
   ``load_trace`` / ``TraceBuilder.build`` / the runtime cache.
 * **RepoLint** (:mod:`repro.verify.repolint`): per-file ``ast`` passes
-  (REP001, REP002, REP005, REP008, REP009) encoding repo-specific
+  (REP001, REP002, REP005, REP008-REP012) encoding repo-specific
   hazards in every library module — nondeterminism, trace and
-  decode-plane mutation, exception hygiene, per-cycle allocation, and
-  ad-hoc on-disk caches.  Exposed as ``python -m repro lint-code`` and
-  as a tier-1 pytest gate.
+  decode-plane mutation, exception hygiene, per-cycle allocation,
+  ad-hoc on-disk caches, cross-module global mutation, blocking calls,
+  and environment reads the cache keys cannot see.  Exposed as
+  ``python -m repro lint-code``, as a tier-1 pytest gate, and as the
+  ``ExperimentRuntime(strict=True)`` hook.
 * **SweepLint** (:mod:`repro.verify.sweeplint`): data-level validation
   rules (SW001-SW007) for declarative sweep specs, run at spec load
   time so a campaign fails before any task executes.
-* **FlowLint** (:mod:`repro.verify.flow`): whole-repo call-graph +
-  dataflow rules (FL003-FL005) — interprocedural proofs that fork
-  workers never mutate another module's globals, serve coroutines
-  cannot reach blocking calls, and environment reads feeding cached
-  results are key-salted.
-  Exposed as ``python -m repro lint-flow`` and the
-  ``ExperimentRuntime(strict=True)`` hook.
 
 Cache-key completeness is proven dynamically, not by a lint rule:
 :mod:`repro.verify.guards` mutates every field of every config
@@ -34,21 +29,13 @@ file.
 See ``docs/verify.md`` for the rule catalogue and suppression syntax.
 """
 
-from repro.verify.flow import (
-    FLOW_RULES,
-    FlowGraph,
-    FlowLintError,
-    FlowViolation,
-    build_graph,
-    check_flow,
-    lint_flow,
-    stale_suppressions,
-)
 from repro.verify.repolint import (
     RULES,
     LintViolation,
+    RepoLintError,
     lint_paths,
     lint_source,
+    stale_suppressions,
 )
 from repro.verify.sweeplint import (
     RULES as SWEEP_RULES,
@@ -68,24 +55,18 @@ from repro.verify.tracelint import (
 )
 
 __all__ = [
-    "FLOW_RULES",
     "RULES",
     "SWEEP_RULES",
     "TRACE_RULES",
-    "FlowGraph",
-    "FlowLintError",
-    "FlowViolation",
     "LintViolation",
+    "RepoLintError",
     "SpecViolation",
     "validate_spec_data",
     "TraceCheck",
     "TraceLintError",
     "TraceLintReport",
     "TraceViolation",
-    "build_graph",
-    "check_flow",
     "check_trace",
-    "lint_flow",
     "lint_paths",
     "lint_source",
     "lint_trace",

@@ -37,19 +37,39 @@ REP009   ad-hoc persistence outside the storage layer: a
          code-salted digests, atomic writes, and corruption checks
          that make cached bytes trustworthy; a hand-rolled pickle
          cache silently serves stale data across code versions
+REP010   cross-module global mutation: a store, ``del`` or mutating
+         method call through a name imported from another ``repro``
+         module (``MEMORY_PRESETS["k"] = 1``), through an attribute of
+         an imported ``repro`` module, or through a local alias of
+         either.  Each fork worker mutates its own copy, so the
+         workers and the parent diverge silently.  A module mutating
+         its own globals is legal
+REP011   blocking calls: ``time.sleep(...)`` or an un-awaited
+         no-argument ``.get()`` without ``timeout=``.  In a serve or
+         cluster coroutine, or any helper one calls, either stalls the
+         event loop for every in-flight request; code that never runs
+         on an event loop says so with a per-line disable
+REP012   environment reads (``os.environ``, ``os.getenv``) outside
+         the two modules whose reads the cache keys see:
+         ``workloads/suite.py`` (``REPRO_SCALE``, salted into every
+         key through ``scale_factor``) and ``__main__.py`` (argparse
+         defaults).  Anywhere else a variable could change cached
+         results without changing their key
 =======  =============================================================
 
-Rule ids are never renumbered or reused; the gaps are retired rules
-whose hazards have one check elsewhere or no longer exist.  Config
-fields missing from the cache key belong to the mutation guards in
-:mod:`repro.verify.guards`; blocking calls in serve coroutines belong
-to FlowLint's FL004.  The rule against hand-rolled
+Every rule checks one file at a time, over every library module,
+whether or not a cached task or a coroutine reaches it.  Rule ids are
+never renumbered or reused; the gaps are retired rules whose hazards
+have one check elsewhere or no longer exist.  Config fields missing
+from the cache key belong to the mutation guards in
+:mod:`repro.verify.guards`.  The rule against hand-rolled
 configuration grids in the analysis drivers retired with the grids:
 the Fig. 3-7 and 9 grids expand through :mod:`repro.sweep.plan`.  The
 serialization-manifest rule retired in favour of the code salt every
 cache key hashes (:func:`repro.runtime.keys.code_salt`): any source
-edit already changes every key (``docs/verify.md`` lists each retired
-id).
+edit already changes every key.  The whole-repo call-graph rules
+FL003-FL005 became REP010-REP012 (``docs/verify.md`` lists each
+retired id).
 
 Suppression: append ``# repolint: disable=REP00x`` (comma-separated for
 several rules) to the offending line, or put
@@ -74,6 +94,9 @@ RULES: dict[str, str] = {
     "REP005": "bare or silently swallowed broad except in repro.runtime",
     "REP008": "per-cycle object allocation in a repro.uarch cycle loop",
     "REP009": "ad-hoc on-disk cache outside the storage layer",
+    "REP010": "cross-module global mutation",
+    "REP011": "blocking call in library code",
+    "REP012": "environment read outside the key-salted owners",
 }
 
 #: Modules allowed to be nondeterministic (CLI entry point, wall-clock
@@ -107,7 +130,7 @@ REP002_ATTRS = {"columns", "_decoded", "stamped_regions", "_instructions"}
 
 #: Mutating container methods: calling one on a guarded attribute is
 #: a write (REP002), and on an imported module global a cross-module
-#: mutation (FlowLint's FL003).
+#: mutation (REP010).
 MUTATOR_METHODS = {
     "append", "extend", "add", "insert", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
@@ -133,17 +156,15 @@ REP009_WRITERS: dict[str, set[str]] = {
     "shelve": {"open"},
 }
 
-#: Suppression comment grammars.  RepoLint and FlowLint share the same
-#: machinery (:func:`suppression_maps`), differing only in the tag, so
-#: a ``flowlint: disable=FL005`` comment behaves exactly like a
-#: ``repolint: disable=REP001`` one.
-_DISABLE_PATTERNS: dict[str, tuple[re.Pattern, re.Pattern]] = {
-    tag: (
-        re.compile(rf"#\s*{tag}:\s*disable=([A-Z0-9, ]+)"),
-        re.compile(rf"#\s*{tag}:\s*disable-file=([A-Z0-9, ]+)"),
-    )
-    for tag in ("repolint", "flowlint")
-}
+#: Modules whose environment reads the cache keys see (REP012): the
+#: suite's ``scale_factor`` (``REPRO_SCALE`` feeds ``simulate_key`` and
+#: ``trace_task_key``) and the CLI, whose reads only set argparse
+#: defaults.
+REP012_OWNERS = ("workloads/suite.py", "repro/__main__.py")
+
+#: Suppression comment grammar: a per-line and a whole-file form.
+_LINE_DISABLE = re.compile(r"#\s*repolint:\s*disable=([A-Z0-9, ]+)")
+_FILE_DISABLE = re.compile(r"#\s*repolint:\s*disable-file=([A-Z0-9, ]+)")
 
 
 @dataclass(frozen=True)
@@ -157,6 +178,17 @@ class LintViolation:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
+
+
+class RepoLintError(RuntimeError):
+    """Raised by the strict runtime hook when the package has findings."""
+
+    def __init__(self, violations: list[LintViolation]) -> None:
+        self.violations = violations
+        lines = "\n".join(str(violation) for violation in violations)
+        super().__init__(
+            f"repolint failed with {len(violations)} violation(s):\n{lines}"
+        )
 
 
 def _comment_lines(source: str) -> list[tuple[int, str]]:
@@ -183,52 +215,37 @@ def _comment_lines(source: str) -> list[tuple[int, str]]:
         ]
 
 
-def suppression_maps(
-    source: str, tag: str = "repolint"
-) -> tuple[dict[int, set[str]], set[str]]:
-    """``(per-line, whole-file)`` disabled-rule sets for one source text."""
-    line_pattern, file_pattern = _DISABLE_PATTERNS[tag]
-    per_line: dict[int, set[str]] = {}
-    whole_file: set[str] = set()
-    for number, text in _comment_lines(source):
-        match = line_pattern.search(text)
-        if match:
-            per_line.setdefault(number, set()).update(
-                rule.strip() for rule in match.group(1).split(",")
-            )
-        match = file_pattern.search(text)
-        if match:
-            whole_file |= {
-                rule.strip() for rule in match.group(1).split(",")
-            }
-    return per_line, whole_file
-
-
-def suppression_comments(
-    source: str,
-) -> list[tuple[int, str, str, bool]]:
-    """Every disable comment: ``(line, tag, rule, is_file_level)``.
+def suppression_comments(source: str) -> list[tuple[int, str, bool]]:
+    """Every disable comment: ``(line, rule, is_file_level)``.
 
     The inventory behind ``repro lint-code --stale-suppressions``: each
     entry is one (comment, rule) pair, so a comment disabling two rules
     yields two entries and each can go stale independently.
     """
-    entries: list[tuple[int, str, str, bool]] = []
+    entries: list[tuple[int, str, bool]] = []
     for number, text in _comment_lines(source):
-        for tag, (line_pattern, file_pattern) in _DISABLE_PATTERNS.items():
-            match = line_pattern.search(text)
+        for pattern, file_level in (
+            (_LINE_DISABLE, False), (_FILE_DISABLE, True)
+        ):
+            match = pattern.search(text)
             if match:
                 for rule in match.group(1).split(","):
-                    entries.append((number, tag, rule.strip(), False))
-            match = file_pattern.search(text)
-            if match:
-                for rule in match.group(1).split(","):
-                    entries.append((number, tag, rule.strip(), True))
+                    entries.append((number, rule.strip(), file_level))
     return entries
 
 
-def _suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
-    return suppression_maps(source, "repolint")
+def suppression_maps(
+    source: str,
+) -> tuple[dict[int, set[str]], set[str]]:
+    """``(per-line, whole-file)`` disabled-rule sets for one source text."""
+    per_line: dict[int, set[str]] = {}
+    whole_file: set[str] = set()
+    for number, rule, file_level in suppression_comments(source):
+        if file_level:
+            whole_file.add(rule)
+        else:
+            per_line.setdefault(number, set()).add(rule)
+    return per_line, whole_file
 
 
 class _ModuleAliases(ast.NodeVisitor):
@@ -239,10 +256,14 @@ class _ModuleAliases(ast.NodeVisitor):
         self.from_imports: dict[str, str] = {}  # name -> "module.attr"
 
     def visit_Import(self, node: ast.Import) -> None:
+        # ``import a.b`` binds ``a`` to package ``a``; ``import a.b as
+        # c`` binds ``c`` to ``a.b``.
         for alias in node.names:
-            self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                alias.name
-            )
+            if alias.asname:
+                self.aliases[alias.asname] = alias.name
+            else:
+                root = alias.name.split(".")[0]
+                self.aliases[root] = root
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module:
@@ -272,9 +293,9 @@ def _attr_chain(node: ast.expr) -> list[str]:
     return parts
 
 
-def _scopes(tree: ast.AST) -> list[list[ast.AST]]:
-    """The nodes of each scope in source order: the module, each
-    function, each class.
+def _scopes(tree: ast.AST) -> list[tuple[ast.AST, list[ast.AST]]]:
+    """``(owner, nodes)`` for each scope, nodes in source order: the
+    module, each function, each class.
 
     A scope's list stops at nested function and class bodies, which
     are scopes of their own, so a local name never leaks across them.
@@ -302,7 +323,7 @@ def _scopes(tree: ast.AST) -> list[list[ast.AST]]:
         nodes.sort(key=lambda node: (
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
         ))
-        scopes.append(nodes)
+        scopes.append((owner, nodes))
     return scopes
 
 
@@ -402,7 +423,7 @@ def _unsorted_set_iteration(tree: ast.AST) -> list[tuple[int, str]]:
             for argument in node.args:
                 sorted_args.add(id(argument))
     findings = []
-    for scope in _scopes(tree):
+    for _, scope in _scopes(tree):
         # Locals bound to a set (``seen = set(names)``) iterate in hash
         # order as much as the set expression itself.
         set_names: set[str] = set()
@@ -495,24 +516,36 @@ def _rep002(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
     if relative.endswith(REP002_OWNERS):
         return []
     findings: list[tuple[int, str]] = []
-    for scope in _scopes(tree):
-        findings.extend(_rep002_scope(scope))
+    for _, scope in _scopes(tree):
+        for line, attr, method in _scope_writes(scope, _guarded_attr, {}):
+            action = (
+                f"writes trace `{attr}`" if method is None
+                else f"calls .{method}() on trace `{attr}`"
+            )
+            findings.append((line, f"{action}; {_REP002_HINT}"))
     return sorted(findings)
 
 
-def _rep002_scope(scope: list[ast.AST]) -> list[tuple[int, str]]:
-    # Local name -> guarded attribute it currently aliases
-    # (``ops = trace.columns["ops"]``, ``plane = decode_trace(trace)``,
-    # and so an alias of an alias: ``fu = plane.fu``).
-    aliases: dict[str, str] = {}
-    findings: list[tuple[int, str]] = []
+def _scope_writes(
+    scope: list[ast.AST], guard, aliases: dict[str, str]
+) -> list[tuple[int, str, str | None]]:
+    """Writes through a guarded chain in one scope, in source order.
+
+    ``guard(expr, aliases, bare=...)`` names what an expression reaches
+    (see :func:`_guarded_attr`), or ``None``.  ``aliases`` maps local
+    names to what they hold (``ops = trace.columns["ops"]``, and so an
+    alias of an alias: ``fu = plane.fu``) and follows rebinding.
+    Returns ``(line, label, method)`` per store or ``del`` target
+    (``method`` is ``None``) and per ``MUTATOR_METHODS`` call.
+    """
+    findings: list[tuple[int, str, str | None]] = []
     for node in scope:
         for name in _bound_names(node):
-            attr = _guarded_attr(node.value, aliases)
-            if attr is None:
+            label = guard(node.value, aliases)
+            if label is None:
                 aliases.pop(name, None)
             else:
-                aliases[name] = attr
+                aliases[name] = label
         targets: list[ast.expr] = []
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -523,13 +556,9 @@ def _rep002_scope(scope: list[ast.AST]) -> list[tuple[int, str]]:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in MUTATOR_METHODS
         ):
-            attr = _guarded_attr(node.func.value, aliases)
-            if attr is not None:
-                findings.append((
-                    node.lineno,
-                    f"calls .{node.func.attr}() on trace `{attr}`; "
-                    + _REP002_HINT,
-                ))
+            label = guard(node.func.value, aliases)
+            if label is not None:
+                findings.append((node.lineno, label, node.func.attr))
         for target in targets:
             elements = (
                 target.elts
@@ -537,11 +566,9 @@ def _rep002_scope(scope: list[ast.AST]) -> list[tuple[int, str]]:
                 else [target]
             )
             for element in elements:
-                attr = _guarded_attr(element, aliases, bare=False)
-                if attr is not None:
-                    findings.append((
-                        node.lineno, f"writes trace `{attr}`; " + _REP002_HINT
-                    ))
+                label = guard(element, aliases, bare=False)
+                if label is not None:
+                    findings.append((node.lineno, label, None))
     return findings
 
 
@@ -734,6 +761,155 @@ def _rep009(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
 
 
 # ----------------------------------------------------------------------
+# REP010 — cross-module global mutation
+# ----------------------------------------------------------------------
+
+def _imported_root(
+    node: ast.expr, aliases: dict[str, str], *, bare: bool = True
+) -> str | None:
+    """The imported ``repro`` name (or local alias) a chain is rooted at.
+
+    The :func:`_scope_writes` guard for REP010: follows subscripts and
+    attributes down to a name in ``aliases``.  A bare name counts only
+    when ``bare``: rebinding an imported name is not a write,
+    ``PRESETS.clear()`` is.
+    """
+    start = node
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    if isinstance(node, ast.Name) and (bare or node is not start):
+        return aliases.get(node.id)
+    return None
+
+
+def _rep010(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
+    imports = _ModuleAliases()
+    imports.visit(tree)
+    imported = {
+        name: target
+        for name, target in {**imports.aliases, **imports.from_imports}.items()
+        if target == "repro" or target.startswith("repro.")
+    }
+    if not imported:
+        return []
+    findings: list[tuple[int, str]] = []
+    for owner, scope in _scopes(tree):
+        aliases = dict(imported)
+        if isinstance(owner, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
+        )):
+            # Parameters shadow the module's imports.
+            arguments = owner.args
+            for argument in (
+                arguments.posonlyargs + arguments.args
+                + arguments.kwonlyargs
+                + [arguments.vararg, arguments.kwarg]
+            ):
+                if argument is not None:
+                    aliases.pop(argument.arg, None)
+        for line, target, method in _scope_writes(
+            scope, _imported_root, aliases
+        ):
+            action = "writes" if method is None else f"calls .{method}() on"
+            findings.append((
+                line,
+                f"{action} `{target}`, a global of another repro module; "
+                "each fork worker mutates its own copy, so the workers "
+                "and the parent diverge silently — mutate it in its "
+                "owning module or pass the state explicitly",
+            ))
+    return sorted(findings)
+
+
+# ----------------------------------------------------------------------
+# REP011 — blocking calls
+# ----------------------------------------------------------------------
+
+def _rep011(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
+    """Event-loop-blocking primitives anywhere in one module.
+
+    Call nodes that are directly awaited (asyncio ``Queue.get()`` and
+    friends) are non-blocking by definition and skipped.
+    """
+    imports = _ModuleAliases()
+    imports.visit(tree)
+    awaited = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Await)
+    }
+    findings: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in awaited:
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and imports.from_imports.get(func.id) == "time.sleep"
+        ) or (
+            isinstance(func, ast.Attribute)
+            and func.attr == "sleep"
+            and _root_module(func, imports.aliases) == "time"
+        ):
+            findings.append((
+                node.lineno,
+                "time.sleep() blocks the event loop; use asyncio.sleep",
+            ))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "get"
+            and not node.args
+            and not any(
+                keyword.arg == "timeout" for keyword in node.keywords
+            )
+            and not (
+                isinstance(func.value, ast.Name)
+                and func.value.id in imports.aliases
+            )
+        ):
+            findings.append((
+                node.lineno,
+                "synchronous .get() without a timeout can block the "
+                "event loop indefinitely; await an asyncio queue or "
+                "pass timeout=",
+            ))
+    return sorted(findings)
+
+
+# ----------------------------------------------------------------------
+# REP012 — environment reads outside the key-salted owners
+# ----------------------------------------------------------------------
+
+#: The process-environment accessors, by their dotted ``os`` names.
+_ENVIRONMENT_READS = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+
+
+def _rep012(tree: ast.AST, relative: str) -> list[tuple[int, str]]:
+    if relative.replace("\\", "/").endswith(REP012_OWNERS):
+        return []
+    imports = _ModuleAliases()
+    imports.visit(tree)
+    findings: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(
+            node.value, ast.Name
+        ):
+            target = f"{imports.aliases.get(node.value.id)}.{node.attr}"
+        elif isinstance(node, ast.Name):
+            target = imports.from_imports.get(node.id)
+        else:
+            continue
+        if target in _ENVIRONMENT_READS:
+            findings.append((
+                node.lineno,
+                "reads the environment outside workloads/suite.py and "
+                "__main__.py, the only reads the cache keys see; two "
+                "environments would alias one cache entry — read it "
+                "there and salt the key, or pass the value in",
+            ))
+    return sorted(findings)
+
+
+# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 
@@ -743,6 +919,9 @@ _PER_FILE_RULES = {
     "REP005": _rep005,
     "REP008": _rep008,
     "REP009": _rep009,
+    "REP010": _rep010,
+    "REP011": _rep011,
+    "REP012": _rep012,
 }
 
 
@@ -766,7 +945,7 @@ def lint_source(
             f"syntax error: {error.msg}",
         )]
     if honor_suppressions:
-        per_line, whole_file = _suppressions(source)
+        per_line, whole_file = suppression_maps(source)
     else:
         per_line, whole_file = {}, set()
     violations: list[LintViolation] = []
@@ -805,3 +984,41 @@ def lint_paths(
         violations.extend(lint_source(path.read_text(), relative, rules=rules))
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return violations
+
+
+def stale_suppressions(
+    package_root: Path | None = None,
+) -> list[LintViolation]:
+    """Disable comments that no longer suppress any finding.
+
+    Lints every module with suppressions ignored, then checks each
+    ``# repolint: disable`` comment against the raw findings: a
+    per-line disable is stale when its rule no longer fires on that
+    line, a file-level disable when the rule no longer fires anywhere
+    in the file.  Stale suppressions are worse than dead code — they
+    silently swallow the *next* genuine violation at that line.
+    """
+    root = PACKAGE_ROOT if package_root is None else Path(package_root)
+    stale: list[LintViolation] = []
+    for path in sorted(root.rglob("*.py")):
+        relative = str(path.relative_to(root.parent))
+        source = path.read_text()
+        comments = suppression_comments(source)
+        if not comments:
+            continue
+        raw = lint_source(source, relative, honor_suppressions=False)
+        for line, rule, file_level in comments:
+            if not any(
+                violation.rule == rule
+                and (file_level or violation.line == line)
+                for violation in raw
+            ):
+                scope = "anywhere in this file" if file_level else (
+                    "on this line"
+                )
+                stale.append(LintViolation(
+                    "STALE", relative, line,
+                    f"stale suppression: rule {rule} no longer fires "
+                    f"{scope}; remove the disable comment",
+                ))
+    return stale

@@ -119,6 +119,7 @@ class TestLintCode:
         assert payload["violations"] == []
         assert set(payload["rules"]) == {
             "REP001", "REP002", "REP005", "REP008", "REP009",
+            "REP010", "REP011", "REP012",
         }
 
     def test_single_path_scope(self, tmp_path):
@@ -137,42 +138,12 @@ class TestLintCode:
 
 
 class TestLintFlow:
-    def test_repo_is_clean(self):
+    def test_lint_flow_is_an_unknown_command(self):
+        # lint-code runs every code rule; the old command name is an
+        # unknown experiment id.
         completed = run_cli("lint-flow")
-        assert completed.returncode == 0, completed.stdout
-        assert "flowlint: clean" in completed.stdout
-
-    def test_json_report_shape(self):
-        completed = run_cli("lint-flow", "--json")
-        assert completed.returncode == 0
-        payload = json.loads(completed.stdout)
-        assert payload["ok"] is True
-        assert payload["violations"] == []
-        assert set(payload["rules"]) == {"FL003", "FL004", "FL005"}
-        assert payload["graph"]["functions"] > 500
-        assert payload["graph"]["edges"] > 1000
-
-    def test_rule_subset_and_unknown_rule(self):
-        completed = run_cli("lint-flow", "--rules", "FL003,FL004")
-        assert completed.returncode == 0
-        completed = run_cli("lint-flow", "--rules", "FL999")
         assert completed.returncode == 2
-        assert "unknown flow rule" in completed.stderr
-
-    def test_retired_fl002_is_unknown(self):
-        # FL002 retired in favour of the config-key mutation guards;
-        # its id is not reused, so asking for it is a usage error.
-        completed = run_cli("lint-flow", "--rules", "FL002")
-        assert completed.returncode == 2
-        assert "unknown flow rule(s): FL002" in completed.stderr
-        assert "known: FL003 FL004 FL005" in completed.stderr
-
-    def test_retired_fl001_is_unknown(self):
-        # FL001 folded into REP001, which scans every library module.
-        completed = run_cli("lint-flow", "--rules", "FL001")
-        assert completed.returncode == 2
-        assert "unknown flow rule(s): FL001" in completed.stderr
-        assert "known: FL003 FL004 FL005" in completed.stderr
+        assert "unknown experiment(s): lint-flow" in completed.stderr
 
 
 class TestStaleSuppressionsCli:

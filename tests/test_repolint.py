@@ -8,20 +8,27 @@ in the runtime) fails the suite.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 
-from repro.verify import lint_paths, lint_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.verify import lint_paths, lint_source, stale_suppressions
+from repro.verify.repolint import suppression_comments, suppression_maps
 
 LIB = "repro/analysis/synthetic_module.py"
 RUNTIME = "repro/runtime/synthetic_module.py"
+SERVE = "repro/serve/synthetic_module.py"
+CLUSTER = "repro/cluster/synthetic_module.py"
 
 
 def rules_of(violations) -> list[str]:
     return [violation.rule for violation in violations]
 
 
-def lint(source: str, relative: str = LIB):
-    return lint_source(textwrap.dedent(source), relative)
+def lint(source: str, relative: str = LIB, rules: set[str] | None = None):
+    return lint_source(textwrap.dedent(source), relative, rules=rules)
 
 
 class TestRep001Nondeterminism:
@@ -278,6 +285,7 @@ class TestRep005ExceptionHygiene:
                     pass
             """,
             RUNTIME,
+            {"REP005"},
         )
         assert rules_of(violations) == ["REP005", "REP005"]
 
@@ -295,6 +303,7 @@ class TestRep005ExceptionHygiene:
                     pass
             """,
             RUNTIME,
+            {"REP005"},
         ) == []
 
     def test_rule_scoped_to_runtime(self):
@@ -349,44 +358,30 @@ class TestSuppression:
 
 
 class TestRep006BlockingCalls:
-    """Blocking calls in serve coroutines, now checked by FL004.
+    """Blocking calls in serve coroutines (REP011 checks them now)."""
 
-    The per-file REP006 rule is gone; the flow engine's FL004 owns the
-    hazard.  These cases lint a one-file package under ``repro/serve``.
-    """
-
-    @staticmethod
-    def flow_lint(tmp_path, source: str):
-        from repro.verify import flow
-
-        module = tmp_path / "repro" / "serve" / "synthetic_module.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(textwrap.dedent(source))
-        graph = flow.build_graph(tmp_path / "repro", spec=flow.TaintSpec())
-        return flow.lint_flow(graph=graph, honor_suppressions=False)
-
-    def test_time_sleep_in_coroutine_flagged(self, tmp_path):
-        violations = self.flow_lint(
-            tmp_path,
+    def test_time_sleep_in_coroutine_flagged(self):
+        violations = lint(
             """
             import time
 
             async def handle():
                 time.sleep(0.1)
             """,
+            SERVE,
         )
-        assert rules_of(violations) == ["FL004"]
+        assert rules_of(violations) == ["REP011"]
         assert "asyncio.sleep" in violations[0].message
 
-    def test_asyncio_sleep_is_legal(self, tmp_path):
-        violations = self.flow_lint(
-            tmp_path,
+    def test_asyncio_sleep_is_legal(self):
+        violations = lint(
             """
             import asyncio
 
             async def pace():
                 await asyncio.sleep(0.1)
             """,
+            SERVE,
         )
         assert violations == []
 
@@ -571,6 +566,259 @@ class TestRep009AdHocPersistence:
         ) == []
 
 
+class TestRep010CrossModuleMutation:
+    def test_write_to_imported_global_flagged(self):
+        violations = lint(
+            """
+            from repro.config.presets import PRESETS
+
+            def _reset():
+                PRESETS["k"] = 1
+            """
+        )
+        assert rules_of(violations) == ["REP010"]
+        assert violations[0].line == 5
+        assert "repro.config.presets.PRESETS" in violations[0].message
+
+    def test_owner_module_write_exempt(self):
+        # register() writes PRESETS from its own module: no finding.
+        assert lint(
+            """
+            PRESETS = {}
+
+            def register(name, value):
+                PRESETS[name] = value
+                PRESETS.update({})
+            """,
+            "repro/config/presets.py",
+        ) == []
+
+    def test_mutator_call_flagged_and_suppressible(self):
+        source = """
+            from repro.config.presets import PRESETS
+
+            def scrub():
+                PRESETS.clear()
+
+            def scrub_quiet():
+                PRESETS.clear()  # repolint: disable=REP010
+            """
+        violations = lint(source)
+        assert rules_of(violations) == ["REP010"]
+        assert violations[0].line == 5
+        assert ".clear()" in violations[0].message
+
+    def test_module_attribute_and_local_alias_flagged(self):
+        violations = lint(
+            """
+            import repro.uarch.config as uarch_config
+            from repro.uarch import config
+            from repro.uarch.config import MEMORY_PRESETS
+
+            def mutate(value):
+                uarch_config.MEMORY_PRESETS["k"] = value
+                config.DEFAULT_WIDTH = value
+                del config.MEMORY_PRESETS["k"]
+                presets = MEMORY_PRESETS
+                presets.pop("k")
+            """
+        )
+        assert [v.line for v in violations] == [7, 8, 9, 11]
+        assert set(rules_of(violations)) == {"REP010"}
+
+    def test_locals_parameters_and_other_packages_are_legal(self):
+        assert lint(
+            """
+            import collections
+            from repro.uarch.config import MEMORY_PRESETS, ProcessorConfig
+
+            COUNTS = collections.Counter()
+
+            def build(config):
+                presets = dict(MEMORY_PRESETS)
+                presets["k"] = 1
+                collections.OrderedDict().update(presets)
+                COUNTS.update(presets)
+                processor = ProcessorConfig()
+                processor.width = 2
+                return presets
+
+            def rebind():
+                MEMORY_PRESETS = {}
+                MEMORY_PRESETS["k"] = 2
+
+            def shadow(MEMORY_PRESETS):
+                MEMORY_PRESETS["k"] = 3
+            """
+        ) == []
+
+
+class TestRep011BlockingCalls:
+    def test_sleep_in_serve_helper_flagged(self):
+        violations = lint(
+            """
+            import time
+
+            def respond(request):
+                time.sleep(0.05)
+                return request
+
+            def respond_quiet(request):
+                time.sleep(0.05)  # repolint: disable=REP011
+                return request
+            """,
+            SERVE,
+        )
+        assert rules_of(violations) == ["REP011"]
+        assert violations[0].line == 5
+        assert "time.sleep" in violations[0].message
+
+    def test_sleep_in_cluster_helper_flagged(self):
+        violations = lint(
+            """
+            from time import sleep
+
+            def backoff(request):
+                sleep(0.05)
+                return request
+            """,
+            CLUSTER,
+        )
+        assert rules_of(violations) == ["REP011"]
+
+    def test_every_library_module_is_in_scope(self):
+        # A sleep in the alignment engine is flagged too: a serve
+        # coroutine may come to call it.
+        violations = lint(
+            """
+            import time
+
+            class SsearchEngine:
+                def scan_raw(self, database):
+                    time.sleep(0.01)
+            """,
+            "repro/align/ssearch.py",
+        )
+        assert rules_of(violations) == ["REP011"]
+
+    def test_untimed_get_in_coroutine_flagged(self):
+        violations = lint(
+            """
+            async def pump(results):
+                return results.get()
+            """,
+            CLUSTER,
+        )
+        assert rules_of(violations) == ["REP011"]
+        assert "timeout" in violations[0].message
+
+    def test_awaited_timed_and_keyed_gets_are_legal(self):
+        assert lint(
+            """
+            async def pump_safely(queue, results, data):
+                item = await queue.get()
+                safe = results.get(timeout=1.0)
+                keyed = data.get("op", "search")
+                return item, safe, keyed
+            """,
+            CLUSTER,
+        ) == []
+
+    def test_awaited_asyncio_sleep_is_legal(self):
+        assert lint(
+            """
+            import asyncio
+
+            async def tick():
+                await asyncio.sleep(0.01)
+                return True
+            """,
+            SERVE,
+        ) == []
+
+    def test_uncalled_sync_function_is_flagged(self):
+        # No coroutine calls warmup() yet; it is flagged before one
+        # does.
+        violations = lint(
+            """
+            import time
+
+            def warmup(results):
+                time.sleep(0.1)
+                return results.get()
+            """,
+            CLUSTER,
+        )
+        assert [v.line for v in violations] == [5, 6]
+
+
+class TestRep012EnvironmentReads:
+    def test_env_read_outside_owners_flagged(self):
+        violations = lint(
+            """
+            import os
+
+            def secret_mode():
+                return os.environ.get("REPRO_SECRET") == "1"
+            """,
+            "repro/env/scale.py",
+        )
+        assert rules_of(violations) == ["REP012"]
+        assert violations[0].line == 5
+
+    def test_every_read_form_flagged(self):
+        violations = lint(
+            """
+            import os as system
+            from os import environ, getenv
+
+            def read():
+                return (
+                    system.environ["A"], system.getenv("B"),
+                    environ.get("C"), getenv("D"), "E" in system.environ,
+                )
+            """
+        )
+        assert [v.line for v in violations] == [7, 7, 8, 8, 8]
+
+    def test_dotted_import_binds_the_package(self):
+        # ``import os.path`` binds ``os`` itself, environ included.
+        violations = lint(
+            """
+            import os.path
+
+            def home():
+                return os.environ["HOME"]
+            """
+        )
+        assert rules_of(violations) == ["REP012"]
+
+    def test_owner_modules_may_read(self):
+        source = """
+            import os
+
+            def scale_factor():
+                return float(os.environ.get("REPRO_SCALE", "1"))
+            """
+        assert lint(source, "repro/workloads/suite.py") == []
+        assert lint(source, "repro/__main__.py") == []
+        # The same read anywhere else escapes the keys' view.
+        assert rules_of(lint(source)) == ["REP012"]
+
+    def test_suppressed_read_filtered(self):
+        source = """
+            import os
+
+            def secret_mode_quiet():
+                return os.getenv("REPRO_SECRET")  # repolint: disable=REP012
+            """
+        assert lint(source) == []
+        raw = lint_source(
+            textwrap.dedent(source), LIB, honor_suppressions=False
+        )
+        assert rules_of(raw) == ["REP012"]
+
+
 class TestSyntaxErrors:
     def test_unparsable_source_is_rep000(self):
         violations = lint_source("def broken(:\n", LIB)
@@ -586,50 +834,140 @@ class TestRepoGate:
 
 
 class TestRep006FlowRouting:
-    """A ``time.sleep`` one synchronous helper below a serve coroutine.
+    """A ``time.sleep`` in a synchronous helper a coroutine calls.
 
-    A direct-body check cannot see it; the flow engine's FL004 can, in
-    both serving layers (the single server and the cluster router).
+    REP011 flags the sleep where it is written, in both serving layers
+    (the single server and the cluster router), whoever calls it.
     """
 
     def test_blocking_call_one_helper_deep(self):
-        from pathlib import Path
+        helper = """
+            import time
 
-        from repro.verify import flow
-
-        fixture = (
-            Path(__file__).parent / "flow_fixtures" / "fl004" / "repro"
-        )
-        graph = flow.build_graph(fixture, spec=flow.TaintSpec())
-        findings = [
-            f for f in flow.lint_flow(graph=graph)
-            if "time.sleep" in f.message
-        ]
-        assert rules_of(findings) == ["FL004", "FL004"]
-        assert {f.path for f in findings} == {
-            "repro/cluster/backoff.py", "repro/serve/sync_ops.py"
-        }
-        assert all(len(f.chain) > 1 for f in findings)
+            def respond(request):
+                time.sleep(0.05)
+                return request
+            """
+        for relative in (SERVE, CLUSTER):
+            violations = lint(helper, relative)
+            assert rules_of(violations) == ["REP011"]
+            assert violations[0].line == 5
 
 
 class TestSuppressionInventory:
     def test_comments_enumerated_per_rule(self):
-        from repro.verify.repolint import suppression_comments
-
         source = (
             "x = 1  # repolint: disable=REP001,REP002\n"
-            "# flowlint: disable-file=FL003\n"
+            "# repolint: disable-file=REP010\n"
         )
-        entries = suppression_comments(source)
-        assert (1, "repolint", "REP001", False) in entries
-        assert (1, "repolint", "REP002", False) in entries
-        assert (2, "flowlint", "FL003", True) in entries
+        assert suppression_comments(source) == [
+            (1, "REP001", False),
+            (1, "REP002", False),
+            (2, "REP010", True),
+        ]
+
+    def test_retired_flowlint_tag_is_inert(self):
+        # Only the repolint tag suppresses, so a disable under any
+        # other tag cannot hide a finding.
+        source = (
+            "import os\n"
+            "x = os.environ.get('X')  # flowlint: disable=REP012\n"
+        )
+        assert suppression_comments(source) == []
+        assert rules_of(lint(source)) == ["REP012"]
 
     def test_docstring_mentions_are_not_comments(self):
-        from repro.verify.repolint import suppression_comments
-
         source = (
             '"""Shows `# repolint: disable=REP001` in docs."""\n'
             "x = 1\n"
         )
         assert suppression_comments(source) == []
+
+
+class TestStaleSuppressions:
+    def test_dead_disable_flagged_live_one_kept(self, tmp_path):
+        module = tmp_path / "repro" / "runtime" / "tasks.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "import os\n"
+            "\n"
+            "def _mode(payload):\n"
+            "    return (payload, os.environ.get('REPRO_MODE'))"
+            "  # repolint: disable=REP012\n"
+            "\n"
+            "def plain(value):\n"
+            "    return value + 1  # repolint: disable=REP001\n"
+        )
+        stale = stale_suppressions(tmp_path / "repro")
+        assert [(v.path, v.line) for v in stale] == [
+            ("repro/runtime/tasks.py", 7)
+        ]
+        assert "REP001" in stale[0].message
+        # The live REP012 disable (suppressing a real finding) is kept.
+
+    def test_docstring_examples_are_not_suppressions(self):
+        source = (
+            '"""Docs show `# repolint: disable=REP001` usage."""\n'
+            "import time\n"
+            "def f():\n"
+            "    return time.time()  # repolint: disable=REP001\n"
+        )
+        per_line, whole_file = suppression_maps(source)
+        assert per_line == {4: {"REP001"}}
+        assert whole_file == set()
+
+
+# ----------------------------------------------------------------------
+# Fuzz: the rules never crash on syntactically valid modules
+# ----------------------------------------------------------------------
+
+_NAMES = st.sampled_from(
+    ["alpha", "beta", "config", "trace", "run", "helper", "value"]
+)
+
+_SNIPPETS = [
+    "import time",
+    "import numpy as np",
+    "import repro.other as {a}",
+    "from repro.other import {a}",
+    "GLOBAL_TABLE = {{'one': {a}, 'two': {b}}}",
+    "def {a}({b}):\n    return {b}",
+    "def {a}(trace):\n    trace.cols = ()\n    trace.rows.append(1)",
+    "def {a}():\n    return time.time()",
+    "async def {a}():\n    import asyncio\n    await asyncio.sleep(0)",
+    "def {a}(x):\n    {b} = GLOBAL_TABLE[x]\n    {b}[x] = x\n"
+    "    {b}.pop(x)",
+    "def {a}(x):\n    {b}[x], {b}.y = x, x\n    del {b}[x]",
+    "def {a}(x):\n    for item in {{1, 2, 3}}:\n        x += item\n"
+    "    return x",
+    "class {A}:\n    def run(self, *args, **kwargs):\n"
+    "        self.{b}.update(args)\n        return lambda {b}: {b}",
+    "def {a}():\n    import os\n    return os.environ.get('X')",
+    "def {a}(x):\n    global COUNT\n    COUNT = x",
+    "def {a}(x):\n    if (y := x):\n        return y\n    return None",
+    "def {a}(x):\n    try:\n        return x.get()\n"
+    "    except Exception:\n        return None",
+    "def {a}(x):\n    while x:\n        x = [x]\n    return x",
+]
+
+
+@st.composite
+def module_sources(draw):
+    count = draw(st.integers(min_value=1, max_value=6))
+    parts = []
+    for _ in range(count):
+        template = draw(st.sampled_from(_SNIPPETS))
+        a = draw(_NAMES)
+        b = draw(_NAMES)
+        parts.append(template.format(a=a, b=b, A=a.capitalize()))
+    return "\n\n".join(parts)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(source=module_sources())
+    def test_rules_never_crash(self, source):
+        ast.parse(source)  # the strategy only emits valid modules
+        for relative in (LIB, RUNTIME, SERVE, "repro/uarch/fuzzed.py"):
+            for violation in lint_source(source, relative):
+                assert violation.rule != "REP000"

@@ -279,3 +279,28 @@ class TestKeys:
         assert trace_task_key(
             "blast", 2000, small_suite.database_config, small_suite.query
         ) != base
+
+    def test_keys_follow_repro_scale(self, small_suite, monkeypatch):
+        # REPRO_SCALE is the one environment variable library code may
+        # read outside the CLI (REP012); both task keys must carry it,
+        # or two scales would alias one cache entry.
+        trace = build_trace()
+        config = PROC_4WAY.with_memory(ME1)
+
+        def keys() -> tuple[str, str]:
+            return (
+                simulate_key(trace, config),
+                trace_task_key(
+                    "blast", 1000, small_suite.database_config,
+                    small_suite.query,
+                ),
+            )
+
+        monkeypatch.setenv("REPRO_SCALE", "0.5")
+        half = keys()
+        monkeypatch.setenv("REPRO_SCALE", "0.25")
+        quarter = keys()
+        assert half[0] != quarter[0]
+        assert half[1] != quarter[1]
+        monkeypatch.setenv("REPRO_SCALE", "0.5")
+        assert keys() == half

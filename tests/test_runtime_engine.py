@@ -218,3 +218,40 @@ class TestContextIntegration:
         assert run.mix == expected.mix
         assert trace_digest(run.trace) == trace_digest(expected.trace)
         assert context.runtime.metrics.counts()["trace_executions"] == 1
+
+
+class TestStrictCodeLint:
+    """``strict=True`` lints the package before any task runs."""
+
+    def test_strict_runtime_lints_package_once_per_salt(self, monkeypatch):
+        import repro.runtime.engine as engine_module
+        import repro.verify.repolint as repolint
+
+        calls = []
+        real = repolint.lint_paths
+        monkeypatch.setattr(
+            repolint, "lint_paths",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        monkeypatch.setattr(engine_module, "_linted_salts", set())
+        for _ in range(2):
+            ExperimentRuntime(strict=True).close()
+        ExperimentRuntime().close()
+        assert calls == [()]
+
+    def test_strict_runtime_raises_on_findings(self, monkeypatch):
+        import repro.runtime.engine as engine_module
+        import repro.verify.repolint as repolint
+        from repro.verify import LintViolation, RepoLintError
+
+        finding = LintViolation(
+            "REP010", "repro/sim/mutate.py", 5, "writes `PRESETS`"
+        )
+        monkeypatch.setattr(repolint, "lint_paths", lambda: [finding])
+        monkeypatch.setattr(engine_module, "_linted_salts", set())
+        with pytest.raises(RepoLintError) as raised:
+            ExperimentRuntime(strict=True)
+        assert raised.value.violations == [finding]
+        assert "repro/sim/mutate.py:5: REP010" in str(raised.value)
+        # A failed lint is not memoized: the next strict run checks again.
+        assert engine_module._linted_salts == set()
